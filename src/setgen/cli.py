@@ -194,7 +194,7 @@ def train_run(cfg: RunConfig, dataset: Dataset | None = None,
         flat = [p for p in flatten(train_ds)]
         art.base_model = train_sequence_model(
             flat, _train_cfg(cfg, cfg.epochs),
-            input_vocab=10, vocab=dataset.universe, max_len=dataset.max_len,
+            input_vocab=dataset.input_vocab, vocab=dataset.universe, max_len=dataset.max_len,
             embed_dim=cfg.embed_dim, enc_hidden=cfg.enc_hidden, dec_hidden=cfg.dec_hidden,
         )
         report["train_losses"] = art.base_model.train_losses
@@ -207,6 +207,8 @@ def train_run(cfg: RunConfig, dataset: Dataset | None = None,
                 variant="learned", classifier=art.gate,
                 model_hash=content_hash(art.base_model),
             )
+    if art.gate is not None and out:
+        art.penalty.classifier_ref = "gate.json"  # where _persist_run saves the gate
     if art.penalty is not None:
         report["penalty"] = art.penalty.to_dict()
     art.report = report
@@ -282,8 +284,6 @@ def _persist_run(art: RunArtifacts, out: str) -> None:
         save_checkpoint(art.baseline_model, os.path.join(out, "baseline.json"))
     if art.gate is not None:
         save_checkpoint(art.gate, os.path.join(out, "gate.json"))
-        if art.penalty is not None:
-            art.penalty.classifier_ref = "gate.json"
     if art.penalty is not None:
         _write_json(os.path.join(out, "penalty.json"), art.penalty.to_dict())
     _write_json(os.path.join(out, "train_report.json"), art.report)
@@ -657,7 +657,8 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.cmd == "reproduce":
             out = args.out or f"reproduce-{args.tag}"
-            _, ok = reproduce(args.tag, out, n=args.n, seed=args.seed or 7,
+            seed = 7 if args.seed is None else args.seed
+            _, ok = reproduce(args.tag, out, n=args.n, seed=seed,
                               epochs=args.epochs, data=args.data,
                               threads=args.threads or 1)
             return 0 if ok else 3

@@ -185,6 +185,7 @@ def group_by_input(flat: Iterable[FlatPair], universe: int | None = None) -> dic
 #
 # One JSON object per line.  Header line first:
 #   {"kind": "labels"|"sequences", "universe": int, "max_len": int}
+# plus "input_vocab": int for sequences (absent in older files: read as 10).
 # then one line per sample:
 #   labels:     {"x": [f64, ...], "y": [int, ...]}
 #   sequences:  {"x": "digitstring", "y": ["tokenstring", ...]}
@@ -195,6 +196,8 @@ def save_dataset(dataset: Dataset, path: str) -> None:
     """Write a dataset in the line-oriented JSON format (bit-exact, sorted keys)."""
     with open(path, "w", encoding="utf-8") as fh:
         header = {"kind": dataset.kind, "universe": dataset.universe, "max_len": dataset.max_len}
+        if dataset.kind == "sequences":
+            header["input_vocab"] = dataset.input_vocab
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for s in dataset.samples:
             if dataset.kind == "labels":
@@ -235,7 +238,7 @@ def load_dataset(path: str) -> Dataset:
     if kind == "labels":
         input_dim = len(samples[0].x) if samples else 0
     else:
-        input_vocab = 10
+        input_vocab = int(header.get("input_vocab", 10))
     return Dataset(
         kind=kind,
         samples=tuple(samples),

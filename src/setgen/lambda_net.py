@@ -153,52 +153,32 @@ class LambdaNet:
     # -- forward ------------------------------------------------------------
 
     def _forward_recurrent(self, feats: np.ndarray):
-        """feats (B, V, 3) -> raw scores (B, V) plus caches."""
+        """feats (B, V, 3) -> raw scores (B, V) plus caches.
+
+        The encoder and then the decoder read the token rows in id order.
+        """
         B, V, _ = feats.shape
-        H = self.hidden
-        h = np.zeros((B, H))
-        c = np.zeros((B, H))
-        enc_caches = []
-        for t in range(V):
-            h, c, cache = nn.lstm_step_forward(
-                feats[:, t], h, c,
-                self.params["enc_Wx"], self.params["enc_Wh"], self.params["enc_b"]
-            )
-            enc_caches.append(cache)
-        dec_caches = []
-        scores = np.empty((B, V))
-        for t in range(V):
-            h, c, cache = nn.lstm_step_forward(
-                feats[:, t], h, c,
-                self.params["dec_Wx"], self.params["dec_Wh"], self.params["dec_b"]
-            )
-            scores[:, t] = (h @ self.params["out_W"] + self.params["out_b"])[:, 0]
-            dec_caches.append((cache, h))
-        return scores, (enc_caches, dec_caches)
+        p = self.params
+        x = feats.transpose(1, 0, 2)  # time-major
+        zeros = np.zeros((B, self.hidden))
+        h, c, _, enc_cache = nn.lstm_forward(x, zeros, zeros, p["enc_Wx"], p["enc_Wh"],
+                                             p["enc_b"])
+        _, _, hs, dec_cache = nn.lstm_forward(x, h, c, p["dec_Wx"], p["dec_Wh"], p["dec_b"])
+        h_out = hs[1:].reshape(V * B, -1)
+        scores = (h_out @ p["out_W"] + p["out_b"]).reshape(V, B).T
+        return scores, (enc_cache, dec_cache, h_out)
 
     def _backward_recurrent(self, dscores: np.ndarray, caches):
-        enc_caches, dec_caches = caches
-        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        B = dscores.shape[0]
-        H = self.hidden
-        V = len(dec_caches)
-        dh = np.zeros((B, H))
-        dc = np.zeros((B, H))
-        for t in reversed(range(V)):
-            cache, h_t = dec_caches[t]
-            d = dscores[:, t:t + 1]
-            grads["out_W"] += h_t.T @ d
-            grads["out_b"] += np.sum(d, axis=0)
-            dh_t = dh + d @ self.params["out_W"].T
-            _, dh, dc, dWx, dWh, db = nn.lstm_step_backward(dh_t, dc, cache)
-            grads["dec_Wx"] += dWx
-            grads["dec_Wh"] += dWh
-            grads["dec_b"] += db
-        for t in reversed(range(len(enc_caches))):
-            _, dh, dc, dWx, dWh, db = nn.lstm_step_backward(dh, dc, enc_caches[t])
-            grads["enc_Wx"] += dWx
-            grads["enc_Wh"] += dWh
-            grads["enc_b"] += db
+        enc_cache, dec_cache, h_out = caches
+        B, V = dscores.shape
+        d = dscores.T.reshape(V * B, 1)
+        grads = {"out_W": h_out.T @ d, "out_b": np.sum(d, axis=0)}
+        dhs = (d @ self.params["out_W"].T).reshape(V, B, -1)
+        zeros = np.zeros((B, self.hidden))
+        _, grads["dec_Wx"], grads["dec_Wh"], grads["dec_b"], dh, dc = nn.lstm_backward(
+            zeros, zeros, dhs, dec_cache)
+        _, grads["enc_Wx"], grads["enc_Wh"], grads["enc_b"], _, _ = nn.lstm_backward(
+            dh, dc, None, enc_cache)
         return grads
 
     def _forward_windowed(self, windows: np.ndarray, scalars: np.ndarray):

@@ -314,21 +314,12 @@ class SequenceModel:
 
     def _encode_batch(self, X: np.ndarray, mask: np.ndarray):
         """Run the encoder over padded inputs; masked steps hold state."""
-        B, T = X.shape
-        He = self.enc_hidden
-        h = np.zeros((B, He))
-        c = np.zeros((B, He))
-        caches = []
-        for t in range(T):
-            xe = self.params["E_in"][X[:, t]]
-            h_new, c_new, cache = nn.lstm_step_forward(
-                xe, h, c, self.params["enc_Wx"], self.params["enc_Wh"], self.params["enc_b"]
-            )
-            m = mask[:, t:t + 1]
-            h = m * h_new + (1.0 - m) * h
-            c = m * c_new + (1.0 - m) * c
-            caches.append(cache)
-        return h, c, caches
+        p = self.params
+        zeros = np.zeros((X.shape[0], self.enc_hidden))
+        hold = None if mask.all() else mask.T[:, :, None]  # equal-length inputs hold nothing
+        h, c, _, cache = nn.lstm_forward(p["E_in"][X.T], zeros, zeros, p["enc_Wx"],
+                                         p["enc_Wh"], p["enc_b"], hold)
+        return h, c, cache
 
     def _bridge(self, h_enc: np.ndarray, c_enc: np.ndarray):
         h0 = h_enc @ self.params["br_Wh"] + self.params["br_bh"]
@@ -365,72 +356,47 @@ class SequenceModel:
                 raise ValidationError(f"target length {len(y)} exceeds max_len {self.max_len}")
         X, in_mask, Y, out_mask = self._pack(pairs)
         B, t_out = Y.shape
-        h_enc, c_enc, enc_caches = self._encode_batch(X, in_mask)
+        p = self.params
+        h_enc, c_enc, enc_cache = self._encode_batch(X, in_mask)
         h, c = self._bridge(h_enc, c_enc)
-        # Decoder inputs: start token, then the ground-truth prefix.
-        D = np.empty((B, t_out), dtype=int)
-        D[:, 0] = self.start
-        D[:, 1:] = Y[:, :-1]
-        dec_caches = []
-        logits_steps = []
-        for t in range(t_out):
-            xe = self.params["E_out"][D[:, t]]
-            h, c, cache = nn.lstm_step_forward(
-                xe, h, c, self.params["dec_Wx"], self.params["dec_Wh"], self.params["dec_b"]
-            )
-            logits = h @ self.params["proj_W"] + self.params["proj_b"]
-            dec_caches.append((cache, h))
-            logits_steps.append(logits)
+        # Decoder inputs, time-major: start token, then the ground-truth prefix.
+        D = np.empty((t_out, B), dtype=int)
+        D[0] = self.start
+        D[1:] = Y.T[:-1]
+        _, _, hs, dec_cache = nn.lstm_forward(p["E_out"][D], h, c, p["dec_Wx"],
+                                              p["dec_Wh"], p["dec_b"])
+        h_out = hs[1:].reshape(t_out * B, -1)
+        logits = h_out @ p["proj_W"] + p["proj_b"]
 
         # Loss: cross-entropy summed over valid positions, averaged over pairs.
-        total = 0.0
-        dlogits_steps = []
-        for t in range(t_out):
-            logp = nn.log_softmax(logits_steps[t], axis=1)
-            picked = logp[np.arange(B), Y[:, t]]
-            total += -float(np.sum(out_mask[:, t] * picked))
-            if with_grads:
-                d = nn.softmax(logits_steps[t], axis=1)
-                d[np.arange(B), Y[:, t]] -= 1.0
-                d *= out_mask[:, t:t + 1] / B
-                dlogits_steps.append(d)
-        loss = total / B
+        rows = np.arange(t_out * B)
+        targets = Y.T.ravel()
+        weights = out_mask.T.ravel()
+        picked = nn.log_softmax(logits, axis=1)[rows, targets]
+        loss = -float(np.sum(weights * picked)) / B
         if not with_grads:
             return loss, None
 
-        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        Hd = self.dec_hidden
-        dh = np.zeros((B, Hd))
-        dc = np.zeros((B, Hd))
-        for t in reversed(range(t_out)):
-            cache, h_t = dec_caches[t]
-            d = dlogits_steps[t]
-            grads["proj_W"] += h_t.T @ d
-            grads["proj_b"] += np.sum(d, axis=0)
-            dh_t = dh + d @ self.params["proj_W"].T
-            dxe, dh, dc, dWx, dWh, db = nn.lstm_step_backward(dh_t, dc, cache)
-            grads["dec_Wx"] += dWx
-            grads["dec_Wh"] += dWh
-            grads["dec_b"] += db
-            np.add.at(grads["E_out"], D[:, t], dxe)
+        dlogits = nn.softmax(logits, axis=1)
+        dlogits[rows, targets] -= 1.0
+        dlogits *= (weights / B)[:, None]
+        grads = {"proj_W": h_out.T @ dlogits, "proj_b": np.sum(dlogits, axis=0)}
+        dhs = (dlogits @ p["proj_W"].T).reshape(t_out, B, -1)
+        zeros = np.zeros((B, self.dec_hidden))
+        dxe, grads["dec_Wx"], grads["dec_Wh"], grads["dec_b"], dh, dc = nn.lstm_backward(
+            zeros, zeros, dhs, dec_cache)
+        grads["E_out"] = np.zeros_like(p["E_out"])
+        np.add.at(grads["E_out"], D.ravel(), dxe)
         # Through the bridge into the encoder's final state.
-        grads["br_Wh"] += h_enc.T @ dh
-        grads["br_bh"] += np.sum(dh, axis=0)
-        grads["br_Wc"] += c_enc.T @ dc
-        grads["br_bc"] += np.sum(dc, axis=0)
-        dh_e = dh @ self.params["br_Wh"].T
-        dc_e = dc @ self.params["br_Wc"].T
-        for t in reversed(range(X.shape[1])):
-            m = in_mask[:, t:t + 1]
-            dxe, dh_prev, dc_prev, dWx, dWh, db = nn.lstm_step_backward(
-                dh_e * m, dc_e * m, enc_caches[t]
-            )
-            grads["enc_Wx"] += dWx
-            grads["enc_Wh"] += dWh
-            grads["enc_b"] += db
-            dh_e = dh_prev + dh_e * (1.0 - m)
-            dc_e = dc_prev + dc_e * (1.0 - m)
-            np.add.at(grads["E_in"], X[:, t], dxe * m)
+        grads["br_Wh"] = h_enc.T @ dh
+        grads["br_bh"] = np.sum(dh, axis=0)
+        grads["br_Wc"] = c_enc.T @ dc
+        grads["br_bc"] = np.sum(dc, axis=0)
+        dxe, grads["enc_Wx"], grads["enc_Wh"], grads["enc_b"], _, _ = nn.lstm_backward(
+            dh @ p["br_Wh"].T, dc @ p["br_Wc"].T, None, enc_cache)
+        # Masked steps pass no gradient to the pre-activation, so their rows of dxe are 0.
+        grads["E_in"] = np.zeros_like(p["E_in"])
+        np.add.at(grads["E_in"], X.T.ravel(), dxe)
         return loss, grads
 
     # -- inference ----------------------------------------------------------
@@ -446,11 +412,10 @@ class SequenceModel:
 
     def decode_step(self, h, c, token: int):
         """Advance the decoder by one token; returns (logits, h, c)."""
-        xe = self.params["E_out"][np.asarray([token])]
-        h, c, _ = nn.lstm_step_forward(
-            xe, h, c, self.params["dec_Wx"], self.params["dec_Wh"], self.params["dec_b"]
-        )
-        logits = h @ self.params["proj_W"] + self.params["proj_b"]
+        p = self.params
+        xw = p["E_out"][[token]] @ p["dec_Wx"] + p["dec_b"]
+        h, c, _ = nn.lstm_step_forward(xw, h, c, p["dec_Wh"])
+        logits = h @ p["proj_W"] + p["proj_b"]
         return logits[0], h, c
 
     def _check_prefix(self, prefix: TokenSeq) -> None:

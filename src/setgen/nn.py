@@ -20,12 +20,9 @@ def init_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) 
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # The tanh form cannot overflow and needs no masks; it stays within
+    # 2.2e-16 of the exp form.
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -86,59 +83,100 @@ def tanh_backward(dout: np.ndarray, out: np.ndarray) -> np.ndarray:
     return dout * (1.0 - out * out)
 
 
-def relu_forward(z: np.ndarray):
-    out = np.maximum(z, 0.0)
-    return out, z
-
-
-def relu_backward(dout: np.ndarray, z: np.ndarray) -> np.ndarray:
-    return dout * (z > 0.0)
-
-
 # --- gated recurrent (LSTM) cell ----------------------------------------------
 #
 # Single step, gates stacked as [input i | forget f | cell g | output o]:
-#   a      = x @ Wx + h_prev @ Wh + b          (B, 4H)
+#   a      = xw + h_prev @ Wh,  xw = x @ Wx + b     (B, 4H)
 #   i, f, o = sigmoid(a_i), sigmoid(a_f), sigmoid(a_o)
 #   g      = tanh(a_g)
 #   c      = f * c_prev + i * g
 #   h      = o * tanh(c)
+#
+# lstm_forward projects the inputs of every step with one gemm before its
+# time loop, and lstm_backward computes each weight gradient with one gemm
+# over all (step, row) pairs after its loop (Appleyard et al. 2016); only the
+# h_prev @ Wh and da @ Wh.T products stay inside the loops.  Sequences are
+# time-major, (T, B, ...), so that each step's rows are contiguous.
 
 
-def lstm_step_forward(x, h_prev, c_prev, Wx, Wh, b):
+def lstm_step_forward(xw, h_prev, c_prev, Wh):
+    """One step from the input projection ``xw``; returns (h, c, cache)."""
     H = h_prev.shape[1]
-    a = x @ Wx + h_prev @ Wh + b
-    i = sigmoid(a[:, 0 * H:1 * H])
-    f = sigmoid(a[:, 1 * H:2 * H])
+    a = xw + h_prev @ Wh
+    s = sigmoid(a)  # the g block of s is unused
     g = np.tanh(a[:, 2 * H:3 * H])
-    o = sigmoid(a[:, 3 * H:4 * H])
-    c = f * c_prev + i * g
+    c = s[:, 1 * H:2 * H] * c_prev + s[:, 0 * H:1 * H] * g
     tc = np.tanh(c)
-    h = o * tc
-    cache = (x, h_prev, c_prev, Wx, Wh, i, f, g, o, c, tc)
-    return h, c, cache
+    h = s[:, 3 * H:4 * H] * tc
+    return h, c, (c_prev, s, g, tc)
 
 
-def lstm_step_backward(dh, dc, cache):
-    """Backward for one step; dh/dc are gradients w.r.t. this step's h and c."""
-    x, h_prev, c_prev, Wx, Wh, i, f, g, o, c, tc = cache
-    do = dh * tc
+def lstm_step_backward(dh, dc, cache, Wh):
+    """Backward for one step; returns (da, dh_prev, dc_prev).
+
+    ``dh``/``dc`` are gradients w.r.t. this step's h and c, and ``da`` is the
+    gradient w.r.t. the stacked pre-activation.
+    """
+    c_prev, s, g, tc = cache
+    H = g.shape[1]
+    i, f, o = s[:, 0 * H:1 * H], s[:, 1 * H:2 * H], s[:, 3 * H:4 * H]
     dc_total = dc + dh * o * (1.0 - tc * tc)
-    di = dc_total * g
-    df = dc_total * c_prev
-    dg = dc_total * i
-    dc_prev = dc_total * f
-    da_i = di * i * (1.0 - i)
-    da_f = df * f * (1.0 - f)
-    da_g = dg * (1.0 - g * g)
-    da_o = do * o * (1.0 - o)
-    da = np.concatenate([da_i, da_f, da_g, da_o], axis=1)
-    dx = da @ Wx.T
-    dh_prev = da @ Wh.T
-    dWx = x.T @ da
-    dWh = h_prev.T @ da
-    db = np.sum(da, axis=0)
-    return dx, dh_prev, dc_prev, dWx, dWh, db
+    da = s * (1.0 - s)
+    da[:, 0 * H:1 * H] *= dc_total * g
+    da[:, 1 * H:2 * H] *= dc_total * c_prev
+    da[:, 2 * H:3 * H] = dc_total * i * (1.0 - g * g)
+    da[:, 3 * H:4 * H] *= dh * tc
+    return da, da @ Wh.T, dc_total * f
+
+
+def lstm_forward(x, h, c, Wx, Wh, b, mask=None):
+    """Unroll the cell over time-major inputs ``x`` (T, B, D) from state (h, c).
+
+    Returns the final (h, c), the states ``hs`` (T+1, B, H), initial one
+    first, and the cache for :func:`lstm_backward`.  Rows whose ``mask``
+    (T, B, 1) entry is 0 hold their state through that step.
+    """
+    T, B, D = x.shape
+    x2 = x.reshape(T * B, D)
+    xw = (x2 @ Wx + b).reshape(T, B, -1)
+    hs = np.empty((T + 1,) + h.shape)
+    hs[0] = h
+    steps = []
+    for t in range(T):
+        h_new, c_new, step = lstm_step_forward(xw[t], h, c, Wh)
+        if mask is not None:
+            m = mask[t]
+            h_new = m * h_new + (1.0 - m) * h
+            c_new = m * c_new + (1.0 - m) * c
+        h, c = h_new, c_new
+        hs[t + 1] = h
+        steps.append(step)
+    return h, c, hs, (x2, hs, steps, mask, Wx, Wh)
+
+
+def lstm_backward(dh, dc, dhs, cache):
+    """Backward through :func:`lstm_forward`.
+
+    ``dh``/``dc`` are gradients w.r.t. the final state, and ``dhs`` (T, B, H),
+    or None, the gradients reaching each step's output h from elsewhere.
+    Returns (dx (T*B, D), dWx, dWh, db, dh0, dc0).
+    """
+    x2, hs, steps, mask, Wx, Wh = cache
+    T = len(steps)
+    da = np.empty((T, dh.shape[0], Wh.shape[1]))
+    for t in reversed(range(T)):
+        if dhs is not None:
+            dh = dh + dhs[t]
+        if mask is None:
+            da[t], dh, dc = lstm_step_backward(dh, dc, steps[t], Wh)
+        else:
+            m = mask[t]
+            da[t], dh_prev, dc_prev = lstm_step_backward(dh * m, dc * m, steps[t], Wh)
+            dh = dh_prev + dh * (1.0 - m)
+            dc = dc_prev + dc * (1.0 - m)
+    da2 = da.reshape(x2.shape[0], -1)
+    h_prev = hs[:-1].reshape(x2.shape[0], -1)
+    return da2 @ Wx.T, x2.T @ da2, h_prev.T @ da2, np.sum(da2, axis=0), dh, dc
 
 
 # --- 1-D convolution over a short window ---------------------------------------

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from setgen import cli
 from setgen.cli import (
     RunConfig,
     eval_run,
@@ -100,6 +101,7 @@ def test_train_learned_windowed_writes_gate_and_accuracy(tmp_path):
     pen = json.loads(read(out / "penalty.json"))
     assert pen["variant"] == "learned" and pen["classifier_ref"] == "gate.json"
     assert pen["model_hash"]
+    assert report["penalty"] == pen
 
 
 def test_baseline_on_task2_is_refused():
@@ -200,6 +202,14 @@ def test_reproduce_task2_reports_baseline_not_applicable(tmp_path, capsys):
     table = read(tmp_path / "rep2" / "table.csv")
     assert "N/A" in table
     assert "multi-label" not in doc["columns"]
+
+
+@pytest.mark.parametrize("flag, seed", [(["--seed", "0"], 0), ([], 7)])
+def test_reproduce_cli_passes_seed_through(tmp_path, monkeypatch, flag, seed):
+    calls = []
+    monkeypatch.setattr(cli, "reproduce", lambda *a, **kw: calls.append(kw) or ({}, True))
+    assert main(["reproduce", "task1", "--out", str(tmp_path / "rep"), *flag]) == 0
+    assert [kw["seed"] for kw in calls] == [seed]
 
 
 def test_reproduce_multilabel_file(tmp_path):

@@ -146,3 +146,16 @@ def test_dataset_file_round_trip_sequences(tmp_path):
     path2 = tmp_path / "d2.jsonl"
     save_dataset(back, str(path2))
     assert path.read_text() == path2.read_text()
+
+
+def test_dataset_file_round_trip_keeps_input_vocab(tmp_path):
+    samples = (SetSample(x=(3, 1), y=(seq_from_str("2", 11),)),)
+    ds = Dataset(kind="sequences", samples=samples, universe=11, max_len=5, input_vocab=4)
+    path = tmp_path / "d.jsonl"
+    save_dataset(ds, str(path))
+    assert json.loads(path.read_text().splitlines()[0])["input_vocab"] == 4
+    assert load_dataset(str(path)).input_vocab == 4
+    # a header without the key loads with the digit vocabulary
+    path.write_text('{"kind": "sequences", "max_len": 5, "universe": 11}\n'
+                    '{"x": "31", "y": ["2"]}\n')
+    assert load_dataset(str(path)).input_vocab == 10

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from setgen import nn
 from setgen.core import Dataset, FlatPair, SetSample, TrainingError, ValidationError
 from setgen.models import (
     LabelModel,
@@ -15,6 +18,7 @@ from setgen.models import (
     train_multilabel_baseline,
     train_sequence_model,
 )
+from setgen.lambda_net import LambdaNet
 
 
 def zeroed(model):
@@ -312,3 +316,180 @@ def test_checkpoint_rejects_version_mismatch(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValidationError, match="version"):
         load_checkpoint(str(path))
+
+
+# --- LSTM kernels against a per-step reference --------------------------------------
+#
+# The reference is the straightforward formulation: an exp-based sigmoid with
+# sign masks, the input projection inside every step, and every weight
+# gradient accumulated step by step.  The library batches the projections and
+# weight gradients over time, which changes only the summation order.
+
+
+def masked_sigmoid(z):
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def ref_step_forward(x, h_prev, c_prev, Wx, Wh, b):
+    H = h_prev.shape[1]
+    a = x @ Wx + h_prev @ Wh + b
+    i = masked_sigmoid(a[:, :H])
+    f = masked_sigmoid(a[:, H:2 * H])
+    g = np.tanh(a[:, 2 * H:3 * H])
+    o = masked_sigmoid(a[:, 3 * H:])
+    c = f * c_prev + i * g
+    tc = np.tanh(c)
+    return o * tc, c, (x, h_prev, c_prev, i, f, g, o, tc)
+
+
+def ref_step_backward(dh, dc, cache, Wx, Wh):
+    """(dx, dh_prev, dc_prev, dWx, dWh, db) of one step."""
+    x, h_prev, c_prev, i, f, g, o, tc = cache
+    dct = dc + dh * o * (1.0 - tc * tc)
+    da = np.concatenate([dct * g * i * (1.0 - i), dct * c_prev * f * (1.0 - f),
+                         dct * i * (1.0 - g * g), dh * tc * o * (1.0 - o)], axis=1)
+    return da @ Wx.T, da @ Wh.T, dct * f, x.T @ da, h_prev.T @ da, np.sum(da, axis=0)
+
+
+def ref_sequence_loss_and_grads(m, pairs):
+    p = m.params
+    X, in_mask, Y, out_mask = m._pack(pairs)
+    B, t_out = Y.shape
+    grads = {k: np.zeros_like(v) for k, v in p.items()}
+    h = np.zeros((B, m.enc_hidden))
+    c = np.zeros((B, m.enc_hidden))
+    enc = []
+    for t in range(X.shape[1]):
+        h_new, c_new, cache = ref_step_forward(p["E_in"][X[:, t]], h, c,
+                                               p["enc_Wx"], p["enc_Wh"], p["enc_b"])
+        mk = in_mask[:, t:t + 1]
+        h = mk * h_new + (1.0 - mk) * h
+        c = mk * c_new + (1.0 - mk) * c
+        enc.append(cache)
+    h_enc, c_enc = h, c
+    h = h_enc @ p["br_Wh"] + p["br_bh"]
+    c = c_enc @ p["br_Wc"] + p["br_bc"]
+    loss = 0.0
+    dec = []
+    for t in range(t_out):
+        tok = np.full(B, m.start) if t == 0 else Y[:, t - 1]
+        h, c, cache = ref_step_forward(p["E_out"][tok], h, c,
+                                       p["dec_Wx"], p["dec_Wh"], p["dec_b"])
+        logits = h @ p["proj_W"] + p["proj_b"]
+        loss -= float(np.sum(out_mask[:, t] * nn.log_softmax(logits)[np.arange(B), Y[:, t]]))
+        d = nn.softmax(logits)
+        d[np.arange(B), Y[:, t]] -= 1.0
+        dec.append((cache, h, d * out_mask[:, t:t + 1] / B, tok))
+    dh = np.zeros((B, m.dec_hidden))
+    dc = np.zeros((B, m.dec_hidden))
+    for cache, h_t, d, tok in reversed(dec):
+        grads["proj_W"] += h_t.T @ d
+        grads["proj_b"] += np.sum(d, axis=0)
+        dx, dh, dc, dWx, dWh, db = ref_step_backward(dh + d @ p["proj_W"].T, dc, cache,
+                                                     p["dec_Wx"], p["dec_Wh"])
+        grads["dec_Wx"] += dWx
+        grads["dec_Wh"] += dWh
+        grads["dec_b"] += db
+        np.add.at(grads["E_out"], tok, dx)
+    grads["br_Wh"] += h_enc.T @ dh
+    grads["br_bh"] += np.sum(dh, axis=0)
+    grads["br_Wc"] += c_enc.T @ dc
+    grads["br_bc"] += np.sum(dc, axis=0)
+    dh = dh @ p["br_Wh"].T
+    dc = dc @ p["br_Wc"].T
+    for t in reversed(range(X.shape[1])):
+        mk = in_mask[:, t:t + 1]
+        dx, dh_prev, dc_prev, dWx, dWh, db = ref_step_backward(dh * mk, dc * mk, enc[t],
+                                                               p["enc_Wx"], p["enc_Wh"])
+        grads["enc_Wx"] += dWx
+        grads["enc_Wh"] += dWh
+        grads["enc_b"] += db
+        dh = dh_prev + dh * (1.0 - mk)
+        dc = dc_prev + dc * (1.0 - mk)
+        np.add.at(grads["E_in"], X[:, t], dx * mk)
+    return loss / B, grads
+
+
+def ref_gate_grads(net, feats, dscores):
+    p = net.params
+    B, V, _ = feats.shape
+    grads = {k: np.zeros_like(v) for k, v in p.items()}
+    h = np.zeros((B, net.hidden))
+    c = np.zeros((B, net.hidden))
+    caches = {"enc": [], "dec": []}
+    outs = []
+    for part in ("enc", "dec"):
+        for t in range(V):
+            h, c, cache = ref_step_forward(feats[:, t], h, c, p[f"{part}_Wx"],
+                                           p[f"{part}_Wh"], p[f"{part}_b"])
+            caches[part].append(cache)
+            if part == "dec":
+                outs.append(h)
+    dh = np.zeros((B, net.hidden))
+    dc = np.zeros((B, net.hidden))
+    for part in ("dec", "enc"):
+        for t in reversed(range(V)):
+            if part == "dec":
+                d = dscores[:, t:t + 1]
+                grads["out_W"] += outs[t].T @ d
+                grads["out_b"] += np.sum(d, axis=0)
+                dh = dh + d @ p["out_W"].T
+            _, dh, dc, dWx, dWh, db = ref_step_backward(dh, dc, caches[part][t],
+                                                        p[f"{part}_Wx"], p[f"{part}_Wh"])
+            grads[f"{part}_Wx"] += dWx
+            grads[f"{part}_Wh"] += dWh
+            grads[f"{part}_b"] += db
+    return grads
+
+
+def assert_grads_close(got, want, rtol=1e-10):
+    assert got.keys() == want.keys()
+    for k in want:
+        assert got[k].shape == want[k].shape, k
+        scale = max(np.max(np.abs(want[k])), 1e-300)
+        assert np.max(np.abs(got[k] - want[k])) <= rtol * scale, k
+
+
+def test_sigmoid_matches_masked_reference_without_warnings():
+    rng = np.random.default_rng(4)
+    z = np.concatenate([np.linspace(-1e3, 1e3, 20001), rng.normal(scale=8.0, size=20000)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = nn.sigmoid(z)
+    assert np.max(np.abs(got - masked_sigmoid(z))) <= 4e-16
+    assert got[0] == 0.0 and got[20000] == 1.0
+
+
+@pytest.mark.parametrize("pairs", [
+    [((1, 2, 6, 0), (0, 1, 3, 5)), ((2,), (2, 5)), ((4, 3, 1), (5,)), ((5, 5), (4, 4, 4, 5))],
+    [((1, 2, 6), (0, 1, 3, 5)), ((2, 0, 0), (2, 5)), ((4, 3, 1), (5,))],  # nothing masked
+])
+def test_sequence_grads_match_per_step_reference(pairs):
+    m = SequenceModel(input_vocab=7, vocab=6, max_len=5, embed_dim=6,
+                      enc_hidden=5, dec_hidden=8, seed=4)
+    rng = np.random.default_rng(2)
+    for p in m.params.values():
+        p += rng.normal(scale=0.3, size=p.shape)  # nonzero biases, less symmetric states
+    loss, grads = m.loss_and_grads(pairs)
+    ref_loss, ref = ref_sequence_loss_and_grads(m, pairs)
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    assert_grads_close(grads, ref)
+
+
+def test_recurrent_gate_grads_match_per_step_reference():
+    net = LambdaNet("recurrent", 6, max_len=4, hidden=5, seed=3)
+    rng = np.random.default_rng(5)
+    for p in net.params.values():
+        p += rng.normal(scale=0.3, size=p.shape)
+    feats = rng.normal(size=(4, 6, 3))
+    targets = (rng.uniform(size=(4, 6)) < 0.3).astype(float)
+    weights = np.where(targets > 0.5, 2.5, 1.0)
+    scores, _ = net._forward_recurrent(feats)
+    _, dscores = nn.binary_cross_entropy(scores, targets, weights)
+    _, grads = net.loss_and_grads((feats, targets, weights))
+    assert_grads_close(grads, ref_gate_grads(net, feats, dscores))
