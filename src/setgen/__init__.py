@@ -48,6 +48,5 @@ from .lambda_net import (
     LambdaNet,
     LambdaNetExample,
     build_lambda_training_set,
-    classify_positives,
     train_lambda_net,
 )

@@ -19,7 +19,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -31,7 +30,6 @@ from .lambda_net import (
     LambdaNet,
     build_label_lambda_training_set,
     build_lambda_training_set,
-    classify_positives,
     train_lambda_net,
 )
 from .models import (
@@ -70,7 +68,6 @@ class RunConfig:
     gate_filters: int = 8
     gate_dense: int = 16
     threshold: float = 0.5
-    threads: int = 1
     max_branches: int = 1024
     data: str = ""  # sparse multi-label file, multilabel-file task only
 
@@ -89,6 +86,11 @@ class RunConfig:
             raise ValidationError(
                 "not applicable: the multi-label baseline cannot emit sequence sets"
             )
+        sequence_task = self.task in ("task1", "task2")
+        if self.variant == "scalar" and sequence_task:
+            raise ValidationError("not applicable: sequence sets need a per-position penalty")
+        if self.variant == "per-position" and not sequence_task:
+            raise ValidationError("not applicable: label sets need a scalar penalty")
 
     @property
     def effective_gate_epochs(self) -> int:
@@ -153,9 +155,13 @@ class RunArtifacts:
     report: dict | None = None
 
 
-def train_run(cfg: RunConfig, dataset: Dataset | None = None,
-              out: str | None = None) -> RunArtifacts:
-    """Train the base model and calibrate the configured penalty variant."""
+def train_run(cfg: RunConfig, dataset: Dataset | None = None, out: str | None = None,
+              base_model=None) -> RunArtifacts:
+    """Train the base model and calibrate the configured penalty variant.
+
+    A ``base_model`` passed in (already trained on this config's split) is
+    reused instead of fitted, and the report says so.
+    """
     dataset = dataset if dataset is not None else _build_dataset(cfg)
     train_ds, test_ds = tasks.split_train_test(dataset, cfg.split, cfg.seed)
     art = RunArtifacts(cfg=cfg, dataset=dataset, train_split=train_ds, test_split=test_ds)
@@ -173,43 +179,27 @@ def train_run(cfg: RunConfig, dataset: Dataset | None = None,
             label_ds, _train_cfg(cfg, cfg.epochs), threshold=cfg.threshold
         )
         report["train_losses"] = art.baseline_model.train_losses
-    elif dataset.kind == "labels":
-        flat = flatten(train_ds)
-        art.base_model = train_label_model(flat, _train_cfg(cfg, cfg.epochs), dataset.universe)
-        report["train_losses"] = art.base_model.train_losses
-        if cfg.variant == "scalar":
-            records = margin_stats(art.base_model, train_ds)
-            sol = solve_lambda(records)
-            art.penalty = PenaltyParams(
-                variant="scalar", value=sol.value, solutions=(sol,),
-                model_hash=content_hash(art.base_model),
-            )
-        else:
-            art.gate = _train_gate_for_labels(cfg, art.base_model, train_ds, report)
-            art.penalty = PenaltyParams(
-                variant="learned", classifier=art.gate,
-                model_hash=content_hash(art.base_model),
-            )
     else:
-        flat = [p for p in flatten(train_ds)]
-        art.base_model = train_sequence_model(
-            flat, _train_cfg(cfg, cfg.epochs),
-            input_vocab=dataset.input_vocab, vocab=dataset.universe, max_len=dataset.max_len,
-            embed_dim=cfg.embed_dim, enc_hidden=cfg.enc_hidden, dec_hidden=cfg.dec_hidden,
-        )
-        report["train_losses"] = art.base_model.train_losses
-        if cfg.variant == "per-position":
-            art.penalty = solve_lambda_per_position(art.base_model, train_ds)
-            art.penalty = replace_penalty_hash(art.penalty, content_hash(art.base_model))
+        if base_model is not None:
+            art.base_model = base_model
+            report["reused_base"] = True
         else:
-            art.gate = _train_gate_for_sequences(cfg, art.base_model, train_ds, report)
+            art.base_model = _fit_base_model(cfg, train_ds)
+        report["train_losses"] = art.base_model.train_losses
+        model_hash = content_hash(art.base_model)
+        if cfg.variant == "scalar":
+            sol = solve_lambda(margin_stats(art.base_model, train_ds))
+            art.penalty = PenaltyParams(variant="scalar", value=sol.value, solutions=(sol,),
+                                        model_hash=model_hash)
+        elif cfg.variant == "per-position":
+            art.penalty = replace(solve_lambda_per_position(art.base_model, train_ds),
+                                  model_hash=model_hash)
+        else:
+            art.gate = _fit_gate(cfg, art.base_model, train_ds, report)
             art.penalty = PenaltyParams(
-                variant="learned", classifier=art.gate,
-                model_hash=content_hash(art.base_model),
+                variant="learned", classifier=art.gate, model_hash=model_hash,
+                classifier_ref="gate.json" if out else None,  # where _persist_run saves it
             )
-    if art.gate is not None and out:
-        art.penalty.classifier_ref = "gate.json"  # where _persist_run saves the gate
-    if art.penalty is not None:
         report["penalty"] = art.penalty.to_dict()
     art.report = report
     if out:
@@ -217,10 +207,15 @@ def train_run(cfg: RunConfig, dataset: Dataset | None = None,
     return art
 
 
-def replace_penalty_hash(p: PenaltyParams, model_hash: str) -> PenaltyParams:
-    return PenaltyParams(variant=p.variant, value=p.value, values=p.values,
-                         solutions=p.solutions, classifier=p.classifier,
-                         classifier_ref=p.classifier_ref, model_hash=model_hash)
+def _fit_base_model(cfg: RunConfig, train_ds: Dataset):
+    flat = flatten(train_ds)
+    if train_ds.kind == "labels":
+        return train_label_model(flat, _train_cfg(cfg, cfg.epochs), train_ds.universe)
+    return train_sequence_model(
+        flat, _train_cfg(cfg, cfg.epochs),
+        input_vocab=train_ds.input_vocab, vocab=train_ds.universe, max_len=train_ds.max_len,
+        embed_dim=cfg.embed_dim, enc_hidden=cfg.enc_hidden, dec_hidden=cfg.dec_hidden,
+    )
 
 
 def _gate_variant(cfg: RunConfig) -> str:
@@ -232,30 +227,23 @@ def _gate_accuracy(gate: LambdaNet, examples) -> float:
     hits = 0
     total = 0
     for ex in examples:
-        got = classify_positives(gate, np.asarray(ex.logits), ex.position)
+        got = gate.classify(np.asarray(ex.logits), ex.position)
         want = {k for k, t in enumerate(ex.targets) if t}
         hits += sum((k in got) == (k in want) for k in range(len(ex.targets)))
         total += len(ex.targets)
     return hits / max(total, 1)
 
 
-def _train_gate_for_labels(cfg, model, train_ds, report) -> LambdaNet:
-    return _fit_gate(cfg, model, train_ds, build_label_lambda_training_set,
-                     max_len=1, report=report)
-
-
-def _train_gate_for_sequences(cfg, model, train_ds, report) -> LambdaNet:
-    return _fit_gate(cfg, model, train_ds, build_lambda_training_set,
-                     max_len=train_ds.max_len, report=report)
-
-
-def _fit_gate(cfg: RunConfig, model, train_ds: Dataset, build_examples,
-              max_len: int, report: dict) -> LambdaNet:
+def _fit_gate(cfg: RunConfig, model, train_ds: Dataset, report: dict) -> LambdaNet:
     """Train on the first 90% of samples; hold out the rest whole.
 
     The split is by sample, not by example, so no sample has prefixes on
     both sides of it.
     """
+    if train_ds.kind == "labels":
+        build_examples, max_len = build_label_lambda_training_set, 1
+    else:
+        build_examples, max_len = build_lambda_training_set, train_ds.max_len
     cut = max(1, int(round(0.9 * len(train_ds))))
     examples = build_examples(model, replace(train_ds, samples=train_ds.samples[:cut]))
     gate = train_lambda_net(
@@ -292,7 +280,10 @@ def _persist_run(art: RunArtifacts, out: str) -> None:
 def load_run(run_dir: str) -> RunArtifacts:
     """Rehydrate checkpoints written by ``train_run``."""
     with open(os.path.join(run_dir, "config.json"), "r", encoding="utf-8") as fh:
-        cfg = RunConfig(**json.load(fh)["config"])
+        doc = json.load(fh)["config"]
+    # Drop keys that older versions wrote and RunConfig no longer has (the
+    # eval thread count), so their run directories still load.
+    cfg = RunConfig(**{k: v for k, v in doc.items() if k in RunConfig.__dataclass_fields__})
     dataset = load_dataset(os.path.join(run_dir, "dataset.jsonl"))
     train_ds, test_ds = tasks.split_train_test(dataset, cfg.split, cfg.seed)
     art = RunArtifacts(cfg=cfg, dataset=dataset, train_split=train_ds, test_split=test_ds)
@@ -334,7 +325,7 @@ def _predict_sample(art: RunArtifacts, sample):
             res = decode_set(art.base_model, art.penalty.value, sample.x, rho=cfg.rho)
             return res.label_set, res.to_report(sample.x)
         logits = art.base_model.scores(np.asarray(sample.x, dtype=float)[None, :])[0]
-        pred = classify_positives(art.gate, logits, 1)
+        pred = art.gate.classify(logits, 1)
         return pred, {"x": _x_repr(sample.x), "predicted": sorted(pred),
                       "iterations": 1, "truncated": False, "repeats": 0}
     res = decode_sequence_set(
@@ -375,11 +366,7 @@ def eval_run(art: RunArtifacts, out: str | None = None,
     ds = art.test_split
     if cfg.variant != "baseline" and art.penalty is not None and art.base_model is not None:
         verify_penalty_binding(art.base_model, art.penalty)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            results = list(ex.map(lambda s: _predict_sample(art, s), ds.samples))
-    else:
-        results = [_predict_sample(art, s) for s in ds.samples]
+    results = [_predict_sample(art, s) for s in ds.samples]
     preds = [r[0] for r in results]
     reports = [r[1] for r in results]
     truths = _truth_sets(art, ds)
@@ -423,9 +410,11 @@ COLUMN_NAMES = {
 
 
 def reproduce(task: str, out: str, n: int = 1000, seed: int = 7, epochs: int | None = None,
-              data: str = "", threads: int = 1) -> tuple[dict, bool]:
+              data: str = "") -> tuple[dict, bool]:
     """Run the baseline and every applicable variant; check directional criteria.
 
+    The penalty variants share one base model, trained by the first of
+    them; every variant directory is a complete run that ``load_run`` reads.
     Returns (report, all_criteria_pass).  Absolute scores depend on the
     pinned seed and schedule; only orderings are asserted.
     """
@@ -435,20 +424,18 @@ def reproduce(task: str, out: str, n: int = 1000, seed: int = 7, epochs: int | N
     epochs = epochs if epochs is not None else (60 if task != "multilabel-file" else 80)
     scores: dict[str, float] = {}
     reports: dict[str, dict] = {}
-    shared_art: RunArtifacts | None = None
+    dataset: Dataset | None = None
+    base_model = None
     metric = task_metric(task)
     for variant in REPRODUCE_VARIANTS[task]:
-        cfg = RunConfig(task=task, variant=variant, n=n, seed=seed, epochs=epochs,
-                        data=data, threads=threads)
+        cfg = RunConfig(task=task, variant=variant, n=n, seed=seed, epochs=epochs, data=data)
         t0 = time.perf_counter()
-        if shared_art is not None and variant != "baseline":
-            # Reuse the shared base model; recalibrate the penalty only.
-            art = _recalibrate(cfg, shared_art)
-        else:
-            art = train_run(cfg, out=os.path.join(out, variant))
-            if variant != "baseline":
-                shared_art = art
-        report = eval_run(art, out=os.path.join(out, variant))
+        variant_dir = os.path.join(out, variant)
+        art = train_run(cfg, dataset=dataset, out=variant_dir, base_model=base_model)
+        dataset = art.dataset
+        if art.base_model is not None:  # the baseline trains no base model
+            base_model = art.base_model
+        report = eval_run(art, out=variant_dir)
         dt = time.perf_counter() - t0
         scores[variant] = report.aggregate
         reports[variant] = report.to_dict()
@@ -483,33 +470,6 @@ def reproduce(task: str, out: str, n: int = 1000, seed: int = 7, epochs: int | N
         w.writerow(cols)
         w.writerow(row)
     return doc, all_pass
-
-
-def _recalibrate(cfg: RunConfig, shared: RunArtifacts) -> RunArtifacts:
-    """New penalty variant on top of an already trained base model."""
-    art = RunArtifacts(cfg=cfg, dataset=shared.dataset,
-                       train_split=shared.train_split, test_split=shared.test_split,
-                       base_model=shared.base_model)
-    report = {"version": __version__, "config": asdict(cfg),
-              "config_hash": cfg.config_hash(), "reused_base": True}
-    if cfg.variant == "per-position":
-        art.penalty = replace_penalty_hash(
-            solve_lambda_per_position(art.base_model, art.train_split),
-            content_hash(art.base_model))
-    elif cfg.variant == "scalar":
-        sol = solve_lambda(margin_stats(art.base_model, art.train_split))
-        art.penalty = PenaltyParams(variant="scalar", value=sol.value, solutions=(sol,),
-                                    model_hash=content_hash(art.base_model))
-    else:
-        if art.dataset.kind == "labels":
-            art.gate = _train_gate_for_labels(cfg, art.base_model, art.train_split, report)
-        else:
-            art.gate = _train_gate_for_sequences(cfg, art.base_model, art.train_split, report)
-        art.penalty = PenaltyParams(variant="learned", classifier=art.gate,
-                                    model_hash=content_hash(art.base_model))
-    report["penalty"] = art.penalty.to_dict()
-    art.report = report
-    return art
 
 
 def _criteria(task: str, scores: dict[str, float]) -> list[tuple[str, bool]]:
@@ -555,7 +515,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--config", type=str, default=None,
                    help="JSON file of flat RunConfig keys; flags override it")
-    p.add_argument("--threads", type=int, default=None)
 
 
 def _merged_config(args: argparse.Namespace, required: tuple[str, ...] = ()) -> RunConfig:
@@ -563,6 +522,9 @@ def _merged_config(args: argparse.Namespace, required: tuple[str, ...] = ()) -> 
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             doc.update(json.load(fh))
+    unknown = sorted(set(doc) - set(RunConfig.__dataclass_fields__))
+    if unknown:
+        raise ValidationError(f"unknown config key(s) {', '.join(map(repr, unknown))}")
     for key in RunConfig.__dataclass_fields__:
         val = getattr(args, key, None)
         if val is not None:
@@ -649,8 +611,6 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.cmd == "eval":
             art = load_run(args.run)
-            if args.threads:
-                art.cfg = replace(art.cfg, threads=args.threads)
             out = args.out or os.path.join(args.run, "eval")
             report = eval_run(art, out=out, metric=args.metric)
             print(f"{report.metric}={report.aggregate:.6f}")
@@ -659,8 +619,7 @@ def main(argv: list[str] | None = None) -> int:
             out = args.out or f"reproduce-{args.tag}"
             seed = 7 if args.seed is None else args.seed
             _, ok = reproduce(args.tag, out, n=args.n, seed=seed,
-                              epochs=args.epochs, data=args.data,
-                              threads=args.threads or 1)
+                              epochs=args.epochs, data=args.data)
             return 0 if ok else 3
         raise ValidationError(f"unknown command {args.cmd!r}")
     except ValidationError as exc:

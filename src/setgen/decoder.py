@@ -127,31 +127,6 @@ def decode_set(model, lam: float, x, rho: float = 0.0,
     )
 
 
-class AnswerTrie:
-    """Token trie of partial answers plus the set of completed sequences."""
-
-    def __init__(self) -> None:
-        self._root: dict = {}
-        self._completed: set[TokenSeq] = set()
-        self.node_count = 0
-
-    def insert(self, seq: TokenSeq) -> None:
-        node = self._root
-        for tok in seq:
-            if tok not in node:
-                node[tok] = {}
-                self.node_count += 1
-            node = node[tok]
-
-    def complete(self, seq: TokenSeq) -> None:
-        self.insert(seq)
-        self._completed.add(tuple(seq))
-
-    @property
-    def completed(self) -> frozenset[TokenSeq]:
-        return frozenset(self._completed)
-
-
 @dataclass(frozen=True)
 class SequenceDecodeResult:
     """Outcome of one sequence-set decode."""
@@ -219,7 +194,7 @@ def decode_sequence_set(model, penalty: PenaltyParams, x,
     h, c = model.encode(x)
     logits0, h, c = model.decode_step(h, c, model.start)
     vocab = logits0.shape[0]
-    trie = AnswerTrie()
+    completed: set[TokenSeq] = set()
     branches: list[tuple[TokenSeq, object, object, np.ndarray]] = [((), h, c, logits0)]
     iterations = 0
     repeats = 0
@@ -247,12 +222,10 @@ def decode_sequence_set(model, penalty: PenaltyParams, x,
                 continue
             for tok in tokens:
                 if tok == eos:
-                    trie.complete(prefix + (eos,))
+                    completed.add(prefix + (eos,))
                 elif j < max_len:
-                    new_prefix = prefix + (tok,)
-                    trie.insert(new_prefix)
                     logits_n, h_n, c_n = model.decode_step(h, c, tok)
-                    frontier.append((new_prefix, h_n, c_n, logits_n))
+                    frontier.append((prefix + (tok,), h_n, c_n, logits_n))
                 else:
                     overlong += 1
         if len(frontier) > max_branches:
@@ -262,7 +235,7 @@ def decode_sequence_set(model, penalty: PenaltyParams, x,
         if not branches:
             break
     return SequenceDecodeResult(
-        sequences=trie.completed,
+        sequences=frozenset(completed),
         iterations=iterations,
         repeats=repeats,
         truncated=truncated_gather or overlong > 0 or dropped > 0,

@@ -286,11 +286,6 @@ class LambdaNet:
         return net
 
 
-def classify_positives(net: LambdaNet, logits, position_id: int) -> frozenset[int]:
-    """Token ids the gate labels positive for this score vector."""
-    return net.classify(logits, position_id)
-
-
 class PositiveTokenOracle:
     """Ground-truth gate for one sample: wraps prefix continuation directly.
 

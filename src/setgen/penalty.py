@@ -4,9 +4,9 @@ The scalar penalty is the minimizer of a one-dimensional quadratic subject to
 box constraints collected from every flattened pair: the penalized posterior
 of a produced element must stay above the best negative and below the worst
 unproduced positive.  The minimizer is therefore either the unconstrained
-mean or one of the interval ends.  When the constraints conflict (interval
-empty) a hinge-penalized scan picks a graceful compromise and the result is
-flagged infeasible.
+mean clipped to the interval.  When the constraints conflict (interval
+empty) the exact minimizer of the quadratic plus weighted hinge penalties is
+a graceful compromise, and the result is flagged infeasible.
 
 Sequence sets get one penalty per output position, each solved the same way
 on records built from teacher-forced next-token posteriors.
@@ -25,8 +25,6 @@ from .models import make_prefix_scorer
 log = logging.getLogger(__name__)
 
 HINGE_WEIGHT = 1e3  # constraint-violation weight in the infeasible fallback
-SCAN_RANGE = (-1.0, 1.0)  # posteriors live in [0,1], so gaps live in [-1,1]
-SCAN_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -204,40 +202,49 @@ def _hinge_objective(diffs: np.ndarray, los: np.ndarray, his: np.ndarray,
 
 
 def solve_lambda(records: list[MarginRecord]) -> LambdaSolution:
-    """Closed-form penalty fit: interval ends or the mean gap, whichever wins.
+    """Closed-form penalty fit: the mean gap clipped to the feasible interval.
 
-    With an empty interval, minimizes the quadratic plus hinge penalties on
-    every per-record bound by coarse scan and local refinement, and flags the
-    result infeasible.  Ties break toward the smaller penalty.
+    With an empty interval, returns the exact minimizer of the quadratic plus
+    hinge penalties on every per-record bound, flagged infeasible.  O(N log N)
+    time and O(N) memory.
     """
     if not records:
         raise ValidationError("solve_lambda requires at least one margin record")
     p = np.asarray([r.p for r in records])
     # Sorted so that every sum below runs in one order whatever the record
-    # order: float summation order could otherwise flip the scan's argmin.
+    # order, which makes the result bit-identical under permutation.
     los = np.sort(p - np.asarray([r.l_pos_min for r in records]))
     his = np.sort(p - np.asarray([r.l_neg_max for r in records]))
     diffs = np.sort(p - np.asarray([r.p_hat for r in records]))
-    interval = FeasibleInterval(lo=float(np.max(los)), hi=float(np.min(his)))
+    interval = FeasibleInterval(lo=float(los[-1]), hi=float(his[0]))
 
     if not interval.empty:
-        mean = float(np.mean(diffs))
-        candidates = [(interval.lo, "boundary-low"), (interval.hi, "boundary-high")]
-        if interval.lo <= mean <= interval.hi:
-            candidates.append((mean, "interior"))
-        best = min(candidates, key=lambda c: (_objective(diffs, c[0]), c[0]))
-        return LambdaSolution(value=best[0], interval=interval, candidate=best[1],
-                              objective=_objective(diffs, best[0]))
+        lam = min(max(float(np.mean(diffs)), interval.lo), interval.hi)
+        candidate = ("boundary-low" if lam == interval.lo else
+                     "boundary-high" if lam == interval.hi else "interior")
+        return LambdaSolution(value=lam, interval=interval, candidate=candidate,
+                              objective=_objective(diffs, lam))
 
-    # Infeasible: 1-D scan over the plausible range, then a fine pass around
-    # the coarse winner.
-    coarse = np.arange(SCAN_RANGE[0], SCAN_RANGE[1] + SCAN_STEP, SCAN_STEP)
-    vals = _hinge_objective(diffs, los, his, coarse)
-    best_idx = int(np.argmin(vals))
-    center = coarse[best_idx]
-    fine = np.arange(center - 2 * SCAN_STEP, center + 2 * SCAN_STEP, 1e-6)
-    fvals = _hinge_objective(diffs, los, his, fine)
-    lam = float(fine[int(np.argmin(fvals))])
+    # Infeasible: the hinge objective is convex and piecewise quadratic with
+    # knots at every bound.  Its right slope
+    #   2(n*lam - sum d) - W*#{lo > lam} + W*#{hi <= lam}
+    # never decreases, so the minimizer lies on the piece left of the first
+    # knot where that slope is non-negative: the piece's stationary point,
+    # clipped to the piece.  Every gap d = (lo + hi)/2 lies at or below the
+    # last knot, so the slope there is at least W*n.
+    n = diffs.size
+    total = float(np.sum(diffs))
+    knots = np.unique(np.concatenate([los, his]))
+    lo_above = n - np.searchsorted(los, knots, side="right")
+    hi_below = np.searchsorted(his, knots, side="right")
+    slope = 2.0 * (n * knots - total) + HINGE_WEIGHT * (hi_below - lo_above)
+    k = int(np.argmax(slope >= 0.0))
+    if k == 0:
+        left, above, below = -np.inf, n, 0
+    else:
+        left, above, below = knots[k - 1], lo_above[k - 1], hi_below[k - 1]
+    stationary = (total + HINGE_WEIGHT / 2.0 * (above - below)) / n
+    lam = float(min(max(stationary, left), knots[k]))
     return LambdaSolution(value=lam, interval=interval, candidate="infeasible",
                           objective=_objective(diffs, lam))
 

@@ -174,26 +174,46 @@ def test_eval_oracle_fixture_scores_perfectly(tmp_path):
     assert report.exact_match_rate == 1.0
 
 
-def test_eval_cli_threads_flag(tmp_path):
+def test_load_run_drops_stored_thread_count(tmp_path):
+    # run directories written while eval had a thread pool store "threads"
     cfg = RunConfig(task="threshold", variant="scalar", n=40, epochs=2, seed=5)
     out = tmp_path / "run"
     train_run(cfg, out=str(out))
-    rc = main(["eval", "--run", str(out), "--out", str(tmp_path / "e"),
-               "--threads", "2"])
-    assert rc == 0
+    path = out / "config.json"
+    doc = json.loads(read(path))
+    doc["config"]["threads"] = 2
+    path.write_text(json.dumps(doc))
+    assert load_run(str(out)).cfg == cfg
+    assert main(["eval", "--run", str(out), "--out", str(tmp_path / "e")]) == 0
 
 
 # --- reproduce ------------------------------------------------------------------------
 
 
 def test_reproduce_task1_smoke(tmp_path, capsys):
-    doc, _ = reproduce("task1", str(tmp_path / "rep"), n=60, seed=5, epochs=2)
+    rep = tmp_path / "rep"
+    doc, _ = reproduce("task1", str(rep), n=60, seed=5, epochs=2)
     cols = doc["columns"]
     assert set(cols) == {"multi-label", "ssg-s", "ssg-recurrent", "ssg-windowed"}
-    assert (tmp_path / "rep" / "table.csv").exists()
-    assert (tmp_path / "rep" / "reproduce_report.json").exists()
+    assert (rep / "table.csv").exists()
+    assert (rep / "reproduce_report.json").exists()
     printed = capsys.readouterr().out
     assert "multi-label" in printed and "ssg-windowed" in printed
+    # every variant directory is a complete run; the learned ones keep their gate
+    for variant in ("learned-recurrent", "learned-windowed"):
+        run = rep / variant
+        for fname in ("gate.json", "penalty.json", "train_report.json"):
+            assert (run / fname).exists()
+        report = json.loads(read(run / "train_report.json"))
+        assert 0.0 <= report["gate_validation_accuracy"] <= 1.0
+        assert report["reused_base"] is True
+    for variant in cli.REPRODUCE_VARIANTS["task1"]:
+        run = rep / variant
+        saved = json.loads(read(run / "config.json"))
+        evaluated = json.loads(read(run / "eval_report.json"))
+        assert evaluated["config_hash"] == saved["config_hash"]
+        again = eval_run(load_run(str(run)))
+        assert again.aggregate == doc["reports"][variant]["aggregate"]
 
 
 def test_reproduce_task2_reports_baseline_not_applicable(tmp_path, capsys):
@@ -228,7 +248,7 @@ def test_reproduce_multilabel_file(tmp_path):
                                    "ssg-windowed"}
 
 
-def test_config_file_merging(tmp_path):
+def test_config_file_merging(tmp_path, capsys):
     conf = tmp_path / "c.json"
     conf.write_text(json.dumps({"task": "threshold", "variant": "scalar",
                                 "n": 30, "epochs": 2}))
@@ -239,6 +259,10 @@ def test_config_file_merging(tmp_path):
     assert saved["config"]["seed"] == 9  # flag overrides
     assert saved["config"]["n"] == 30  # config file value kept
     assert "config_hash" in saved
+    conf.write_text(json.dumps({"task": "threshold", "variant": "scalar", "bogus": 1}))
+    rc = main(["train", "--config", str(conf), "--out", str(tmp_path / "r2")])
+    assert rc == 1
+    assert "'bogus'" in capsys.readouterr().err
 
 
 def test_run_directories_are_append_only(tmp_path):
@@ -260,3 +284,7 @@ def test_run_config_validation():
         RunConfig(task="threshold", variant="scalar", split=0.0)
     with pytest.raises(ValidationError):
         RunConfig(task="multilabel-file", variant="scalar")
+    with pytest.raises(ValidationError, match="not applicable"):
+        RunConfig(task="task2", variant="scalar")
+    with pytest.raises(ValidationError, match="not applicable"):
+        RunConfig(task="threshold", variant="per-position")

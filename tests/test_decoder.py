@@ -3,7 +3,6 @@ import pytest
 
 from setgen.core import Dataset, SetSample, ValidationError, seq_from_str
 from setgen.decoder import (
-    AnswerTrie,
     DecodeState,
     decode_sequence_set,
     decode_set,
@@ -329,13 +328,3 @@ def test_penalty_binding_refuses_mismatched_hash():
     with pytest.raises(ValidationError, match="different model"):
         verify_penalty_binding(model, penalty)
     verify_penalty_binding(model, penalty, allow_mismatch=True)  # no raise
-
-
-def test_answer_trie_counts_nodes_once():
-    trie = AnswerTrie()
-    trie.insert((1, 2))
-    trie.insert((1, 2))
-    trie.insert((1, 3))
-    assert trie.node_count == 3
-    trie.complete((1, 2, 10))
-    assert trie.completed == frozenset({(1, 2, 10)})

@@ -13,7 +13,6 @@ from setgen.lambda_net import (
     _windowed_arrays,
     build_lambda_training_set,
     build_label_lambda_training_set,
-    classify_positives,
     train_lambda_net,
 )
 from setgen.models import LabelModel, TrainConfig, gradient_check
@@ -62,7 +61,7 @@ def token_accuracy(net, examples):
     hits = 0
     total = 0
     for ex in examples:
-        got = classify_positives(net, np.asarray(ex.logits), ex.position)
+        got = net.classify(np.asarray(ex.logits), ex.position)
         for k, t in enumerate(ex.targets):
             hits += int((k in got) == bool(t))
             total += 1
@@ -192,7 +191,7 @@ def test_converged_gate_reproduces_prefix_continuation():
     exact = 0
     for ex in examples:
         want = frozenset(k for k, t in enumerate(ex.targets) if t)
-        got = classify_positives(net, np.asarray(ex.logits), ex.position)
+        got = net.classify(np.asarray(ex.logits), ex.position)
         exact += int(got == want)
     assert exact / len(examples) >= 0.99
 

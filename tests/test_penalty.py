@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from setgen.penalty import (
     FeasibleInterval,
     MarginRecord,
     PenaltyParams,
+    _hinge_objective,
     margin_stats,
     position_candidates,
     solve_lambda,
@@ -210,6 +212,51 @@ def test_solve_lambda_permutation_invariant(raw, pyrandom):
     sol2 = solve_lambda(shuffled)
     assert sol2.value == pytest.approx(sol.value, abs=1e-12)
     assert sol2.candidate == sol.candidate
+
+
+def record_arrays(records):
+    p = np.array([r.p for r in records])
+    los = p - np.array([r.l_pos_min for r in records])
+    his = p - np.array([r.l_neg_max for r in records])
+    diffs = p - np.array([r.p_hat for r in records])
+    return diffs, los, his
+
+
+def test_solve_lambda_infeasible_is_exact_minimizer():
+    """No point of a 1e-5 grid around the coarse winner beats the solver."""
+    rng = np.random.default_rng(11)
+    checked = 0
+    while checked < 50:
+        records = random_records(rng)
+        sol = solve_lambda(records)
+        if sol.feasible:
+            continue
+        checked += 1
+        diffs, los, his = record_arrays(records)
+        coarse = np.linspace(-1.0, 1.0, 2001)
+        center = coarse[np.argmin(_hinge_objective(diffs, los, his, coarse))]
+        fine = np.arange(center - 2e-3, center + 2e-3, 1e-5)
+        best = _hinge_objective(diffs, los, his, fine).min()
+        got = _hinge_objective(diffs, los, his, sol.value)[0]
+        assert got <= best + 1e-12 * abs(best)
+
+
+def test_solve_lambda_infeasible_memory_is_linear():
+    rng = np.random.default_rng(3)
+    n = 100_000
+    p = rng.uniform(0.3, 1.0, n)
+    l_pos_min = np.maximum(p - rng.uniform(0.0, 0.3, n), 0.0)
+    l_neg_max = rng.uniform(0.0, 0.3, n)
+    records = [MarginRecord(p=float(a), l_pos_min=float(b), l_neg_max=float(c))
+               for a, b, c in zip(p, l_pos_min, l_neg_max)]
+    tracemalloc.start()
+    try:
+        sol = solve_lambda(records)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not sol.feasible
+    assert peak < 64 * 2**20  # a grid x records scan would need gigabytes
 
 
 # --- position candidates -------------------------------------------------------------
