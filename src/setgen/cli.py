@@ -348,12 +348,6 @@ def _el_repr(el):
     return el
 
 
-def _truth_sets(art: RunArtifacts, ds: Dataset):
-    if ds.kind == "labels":
-        return [s.y_set for s in ds.samples]
-    return [frozenset(seq[:-1] for seq in s.y) for s in ds.samples]
-
-
 def task_metric(task: str) -> str:
     return "mED" if task == "task2" else "mF1"
 
@@ -369,7 +363,10 @@ def eval_run(art: RunArtifacts, out: str | None = None,
     results = [_predict_sample(art, s) for s in ds.samples]
     preds = [r[0] for r in results]
     reports = [r[1] for r in results]
-    truths = _truth_sets(art, ds)
+    if ds.kind == "labels":
+        truths = [s.y_set for s in ds.samples]
+    else:
+        truths = [frozenset(seq[:-1] for seq in s.y) for s in ds.samples]
     n_truncated = sum(1 for r in reports if r.get("truncated"))
     report = metrics.evaluate(preds, truths, metric, n_truncated=n_truncated)
     if out:
@@ -510,16 +507,9 @@ def _format_table(task: str, metric: str, scores: dict[str, float]) -> str:
 # --- argument parsing ----------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--config", type=str, default=None,
-                   help="JSON file of flat RunConfig keys; flags override it")
-
-
 def _merged_config(args: argparse.Namespace, required: tuple[str, ...] = ()) -> RunConfig:
     doc: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             doc.update(json.load(fh))
     unknown = sorted(set(doc) - set(RunConfig.__dataclass_fields__))
@@ -542,13 +532,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a synthetic dataset")
     p.add_argument("--task", required=True, choices=("threshold", "task1", "task2"))
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("import", help="convert a sparse multi-label file to the dataset format")
     p.add_argument("--data", required=True)
     p.add_argument("--features", type=int, default=None)
     p.add_argument("--universe", type=int, default=None)
-    _add_common(p)
+    p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("train", help="train a base model and calibrate its penalty")
     p.add_argument("--task", choices=TASKS, default=None)
@@ -560,19 +551,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gate-epochs", dest="gate_epochs", type=int, default=None)
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--split", type=float, default=None)
-    _add_common(p)
+    p.add_argument("--config", type=str, default=None,
+                   help="JSON file of flat RunConfig keys; flags override it")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("eval", help="decode and score the held-out split of a train run")
     p.add_argument("--run", required=True, help="directory written by train")
     p.add_argument("--metric", choices=("mF1", "mED"), default=None)
-    _add_common(p)
+    p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("reproduce", help="run every applicable variant and check orderings")
     p.add_argument("tag", choices=tuple(REPRODUCE_VARIANTS))
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--data", type=str, default="")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--out", type=str, default=None)
     return parser
 
 

@@ -39,9 +39,6 @@ class DecodeState:
         if not 0.0 <= self.rho < 1.0:
             raise ValidationError("rho must lie in [0, 1)")
 
-    def __contains__(self, label: int) -> bool:
-        return label in self.z
-
     def record(self, label: int) -> bool:
         """Count a production; returns True when it was a repeat."""
         if label in self.z:

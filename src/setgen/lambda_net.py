@@ -29,14 +29,8 @@ import numpy as np
 
 from . import nn
 from .core import Dataset, TokenSeq, TrainingError, ValidationError
-from .models import (
-    TrainConfig,
-    _params_from_checkpoint,
-    _run_epochs,
-    _to_checkpoint,
-    make_prefix_scorer,
-)
-from .penalty import position_candidates
+from .models import TrainConfig, _params_from_checkpoint, _run_epochs, _to_checkpoint
+from .penalty import prefix_nodes
 
 log = logging.getLogger(__name__)
 
@@ -253,7 +247,7 @@ class LambdaNet:
     def classify(self, logits, position: int, prefix: TokenSeq | None = None
                  ) -> frozenset[int]:
         """Token ids whose emit probability clears the threshold; pure."""
-        del prefix  # context is only consulted by the diagnostic oracle
+        del prefix  # part of the decoder's classifier protocol; the gate reads scores only
         probs = self.scores(logits, position)
         return frozenset(int(k) for k in np.flatnonzero(probs >= self.threshold))
 
@@ -286,30 +280,6 @@ class LambdaNet:
         return net
 
 
-class PositiveTokenOracle:
-    """Ground-truth gate for one sample: wraps prefix continuation directly.
-
-    Scores are ignored; classification needs the branch prefix.  Used to
-    establish that the sequence decoder is exact whenever the gate is.
-    """
-
-    variant = "oracle"
-
-    def __init__(self, targets, vocab: int):
-        self.targets = tuple(sorted(targets))
-        self.vocab = int(vocab)
-
-    def classify(self, logits, position: int, prefix: TokenSeq | None = None
-                 ) -> frozenset[int]:
-        del logits, position
-        prefix = tuple(prefix or ())
-        try:
-            positives, _ = position_candidates(self.targets, prefix, self.vocab)
-        except ValidationError:
-            return frozenset()
-        return positives
-
-
 def build_lambda_training_set(model, dataset: Dataset) -> list[LambdaNetExample]:
     """One example per (sample, distinct ground-truth prefix) of a sequence dataset.
 
@@ -325,12 +295,8 @@ def build_lambda_training_set(model, dataset: Dataset) -> list[LambdaNetExample]
     for sample in dataset.samples:
         if not sample.y:
             continue
-        logits_for, _ = make_prefix_scorer(model, sample.x)
-        prefixes = sorted({tuple(t[:i]) for t in sample.y for i in range(len(t))})
-        for prefix in prefixes:
-            logits = logits_for(prefix)
-            positives, _ = position_candidates(sample.y, prefix, dataset.universe)
-            targets = tuple(1 if k in positives else 0 for k in range(dataset.universe))
+        for prefix, logits, nexts in prefix_nodes(model, sample):
+            targets = tuple(1 if k in nexts else 0 for k in range(dataset.universe))
             examples.append(LambdaNetExample(
                 logits=tuple(logits.tolist()),
                 position=len(prefix) + 1,

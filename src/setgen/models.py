@@ -427,28 +427,11 @@ class SequenceModel:
     def step_logits(self, x: TokenSeq, prefix: TokenSeq = ()) -> np.ndarray:
         """Pre-softmax scores for the next token after the given prefix."""
         self._check_prefix(prefix)
-        h, c = self.encode(x)
-        logits, h, c = self.decode_step(h, c, self.start)
-        for tok in prefix:
-            logits, h, c = self.decode_step(h, c, int(tok))
-        return logits
+        return DecoderSession(self, x).logits_for(prefix)
 
     def step_posterior(self, x: TokenSeq, prefix: TokenSeq = ()) -> np.ndarray:
         """Next-token distribution conditioned on the prefix (teacher-forcing path)."""
         return nn.softmax(self.step_logits(x, prefix))
-
-    def greedy_decode(self, x: TokenSeq) -> TokenSeq:
-        """Argmax decoding until the end token or max_len."""
-        h, c = self.encode(x)
-        logits, h, c = self.decode_step(h, c, self.start)
-        out: list[int] = []
-        for _ in range(self.max_len):
-            tok = int(np.argmax(logits))
-            out.append(tok)
-            if tok == self.eos:
-                break
-            logits, h, c = self.decode_step(h, c, tok)
-        return tuple(out)
 
     def checkpoint(self) -> dict:
         arch = {
@@ -472,15 +455,15 @@ class SequenceModel:
 
 
 class DecoderSession:
-    """Memoized teacher-forced inference over one input.
+    """Memoized teacher-forced inference over one input; the one prefix scorer.
 
     Encodes once and caches the decoder state behind every queried prefix, so
     walking all prefixes of a target set costs one recurrent step per trie
-    node instead of a full re-encode per prefix.  Results are bit-identical
-    to ``step_logits``.
+    node instead of a full re-encode per prefix.  Works with any model
+    exposing ``encode``, ``decode_step`` and ``start``.
     """
 
-    def __init__(self, model: SequenceModel, x: TokenSeq):
+    def __init__(self, model, x: TokenSeq):
         self.model = model
         h, c = model.encode(x)
         logits, h, c = model.decode_step(h, c, model.start)
@@ -496,21 +479,6 @@ class DecoderSession:
 
     def logits_for(self, prefix) -> np.ndarray:
         return self._state(tuple(prefix))[0]
-
-    def posterior_for(self, prefix) -> np.ndarray:
-        return nn.softmax(self.logits_for(prefix))
-
-
-def make_prefix_scorer(model, x):
-    """(logits_fn, probs_fn) for one input, caching when the model allows it."""
-    if hasattr(model, "encode") and hasattr(model, "decode_step"):
-        session = DecoderSession(model, x)
-        return session.logits_for, session.posterior_for
-    logits_fn = None
-    if hasattr(model, "step_logits"):
-        logits_fn = lambda prefix: np.asarray(model.step_logits(x, prefix), dtype=float)
-    probs_fn = lambda prefix: np.asarray(model.step_posterior(x, prefix), dtype=float)
-    return logits_fn, probs_fn
 
 
 # --- training loops --------------------------------------------------------------

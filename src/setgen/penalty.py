@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, TokenSeq, ValidationError, flatten, group_by_input
-from .models import make_prefix_scorer
+from . import nn
+from .core import Dataset, SetSample, TokenSeq, ValidationError, flatten, group_by_input
+from .models import DecoderSession
 
 log = logging.getLogger(__name__)
 
@@ -158,6 +159,22 @@ class PenaltyParams:
         )
 
 
+def margin_records(probs: np.ndarray, positives, negatives, produced
+                   ) -> list[MarginRecord]:
+    """One record per produced element of a single posterior.
+
+    ``positives`` and ``negatives`` index the posterior's two groups; every
+    record carries the minimum positive and maximum negative posterior.
+    Without negatives there is no bound, so no records.
+    """
+    if not negatives:
+        return []
+    l_pos_min = float(np.min(probs[positives]))
+    l_neg_max = float(np.max(probs[negatives]))
+    return [MarginRecord(p=float(probs[k]), l_pos_min=l_pos_min, l_neg_max=l_neg_max)
+            for k in produced]
+
+
 def margin_stats(model, dataset: Dataset) -> list[MarginRecord]:
     """One record per flattened pair of a label dataset.
 
@@ -174,15 +191,10 @@ def margin_stats(model, dataset: Dataset) -> list[MarginRecord]:
         grp = groups[gid]
         probs = np.asarray(model.posterior(grp.x), dtype=float)
         pos = sorted(grp.positives)
-        neg = sorted(grp.negatives)
-        if not neg:
+        recs = margin_records(probs, pos, sorted(grp.negatives), pos)
+        if not recs:
             skipped += 1
-            continue
-        l_pos_min = float(np.min(probs[pos]))
-        l_neg_max = float(np.max(probs[neg]))
-        for lab in pos:
-            records.append(MarginRecord(p=float(probs[lab]),
-                                        l_pos_min=l_pos_min, l_neg_max=l_neg_max))
+        records.extend(recs)
     if skipped:
         log.warning("margin_stats: skipped %d group(s) with empty negative sets", skipped)
     return records
@@ -273,6 +285,23 @@ def position_candidates(targets, prefix: TokenSeq, vocab: int
     return frozenset(positives), negatives
 
 
+def prefix_nodes(model, sample: SetSample):
+    """Teacher-forced walk over the distinct prefixes of one sample's targets.
+
+    Yields ``(prefix, logits, nexts)`` in sorted prefix order from one
+    ``DecoderSession``; ``nexts`` holds the next token of every target that
+    extends the prefix, one entry per target, so ``set(nexts)`` is the
+    positive set of :func:`position_candidates`.
+    """
+    nexts: dict[TokenSeq, list[int]] = {}
+    for target in sample.y:
+        for k in range(len(target)):
+            nexts.setdefault(tuple(target[:k]), []).append(int(target[k]))
+    session = DecoderSession(model, sample.x)
+    for prefix in sorted(nexts):
+        yield prefix, session.logits_for(prefix), nexts[prefix]
+
+
 def solve_lambda_per_position(model, dataset: Dataset,
                               max_len: int | None = None) -> PenaltyParams:
     """One closed-form penalty per output position of a sequence dataset.
@@ -290,25 +319,11 @@ def solve_lambda_per_position(model, dataset: Dataset,
     for sample in dataset.samples:
         if not sample.y:
             continue
-        # Cache one posterior per distinct prefix; targets sharing a prefix
-        # still contribute one record each, mirroring the flattened pairs.
-        _, probs_for = make_prefix_scorer(model, sample.x)
-        probs_cache: dict[TokenSeq, np.ndarray] = {}
-        for target in sample.y:
-            for j in range(1, len(target) + 1):
-                prefix = tuple(target[:j - 1])
-                if prefix not in probs_cache:
-                    probs_cache[prefix] = probs_for(prefix)
-                probs = probs_cache[prefix]
-                pos, neg = position_candidates(sample.y, prefix, vocab)
-                if not neg:
-                    continue
-                l_pos_min = float(np.min(probs[sorted(pos)]))
-                l_neg_max = float(np.max(probs[sorted(neg)]))
-                per_position[j - 1].append(
-                    MarginRecord(p=float(probs[target[j - 1]]),
-                                 l_pos_min=l_pos_min, l_neg_max=l_neg_max)
-                )
+        for prefix, logits, nexts in prefix_nodes(model, sample):
+            probs = nn.softmax(logits)
+            pos = sorted(set(nexts))
+            neg = sorted(set(range(vocab)).difference(pos))
+            per_position[len(prefix)].extend(margin_records(probs, pos, neg, nexts))
     solutions: list[LambdaSolution] = []
     last: LambdaSolution | None = None
     n_empty = 0

@@ -132,22 +132,6 @@ def generate(spec: TaskSpec) -> Dataset:
     )
 
 
-def truth_sets(task: str, dataset: Dataset) -> list[frozenset]:
-    """Recompute target sets from inputs via the task's truth function."""
-    out = []
-    for s in dataset.samples:
-        xs = "".join(str(t) for t in s.x) if isinstance(s.x[0], (int, np.integer)) else s.x
-        if task == "threshold":
-            out.append(threshold_truth(s.x[0]))
-        elif task == "task1":
-            out.append(task1_truth(xs))
-        elif task == "task2":
-            out.append(task2_truth(xs))
-        else:
-            raise ValidationError(f"unknown task {task!r}")
-    return out
-
-
 def split_train_test(dataset: Dataset, train_frac: float = 0.7, seed: int = 0
                      ) -> tuple[Dataset, Dataset]:
     """Seed-deterministic disjoint split covering all samples."""

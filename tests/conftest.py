@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from setgen.core import Dataset, SetSample
+from setgen.core import Dataset, SetSample, ValidationError
+from setgen.penalty import position_candidates
 
 
 class OracleLabelPosterior:
@@ -20,6 +21,65 @@ class OracleLabelPosterior:
         for m in members:
             probs[m] = 1.0 / len(members)
         return probs
+
+
+class PositiveTokenOracle:
+    """Ground-truth gate for one sample: wraps prefix continuation directly.
+
+    Scores are ignored; classification needs the branch prefix.  Used to
+    establish that the sequence decoder is exact whenever the gate is.
+    """
+
+    def __init__(self, targets, vocab: int):
+        self.targets = tuple(sorted(targets))
+        self.vocab = int(vocab)
+
+    def classify(self, logits, position, prefix=None):
+        try:
+            positives, _ = position_candidates(self.targets, tuple(prefix or ()), self.vocab)
+        except ValidationError:
+            return frozenset()
+        return positives
+
+
+class PrefixStepper:
+    """``encode``/``decode_step`` adapter over a sequence dataset's targets.
+
+    The decoder state is ``(x, prefix)``; each step scores the next token
+    with ``logits(positives)``, the positive continuations of the prefix
+    among the sample's targets.  Subclasses supply the rule.
+    """
+
+    def __init__(self, dataset):
+        self.by_x = {s.x: s.y for s in dataset.samples}
+        self.vocab = dataset.universe
+        self.eos = self.vocab - 1
+        self.start = self.vocab
+        self.max_len = dataset.max_len
+
+    def encode(self, x):
+        return (tuple(x), ()), None
+
+    def decode_step(self, h, c, token):
+        x, prefix = h
+        if token != self.start:
+            prefix = prefix + (int(token),)
+        positives, _ = position_candidates(self.by_x[x], prefix, self.vocab)
+        return self.logits(positives), (x, prefix), c
+
+
+def greedy_decode(model, x):
+    """Argmax decoding until the end token or max_len."""
+    h, c = model.encode(x)
+    logits, h, c = model.decode_step(h, c, model.start)
+    out: list[int] = []
+    for _ in range(model.max_len):
+        tok = int(np.argmax(logits))
+        out.append(tok)
+        if tok == model.eos:
+            break
+        logits, h, c = model.decode_step(h, c, tok)
+    return tuple(out)
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ import pytest
 from setgen.cli import reproduce
 from setgen.core import seq_from_str
 from setgen.decoder import decode_sequence_set, decode_set
-from setgen.lambda_net import LambdaNet, PositiveTokenOracle, _recurrent_arrays, _windowed_arrays
+from setgen.lambda_net import LambdaNet, _recurrent_arrays, _windowed_arrays
 from setgen.metrics import edit_distance, f1_set, mean_edit_distance
 from setgen.models import (
     LabelModel,
@@ -26,7 +26,7 @@ from setgen.models import (
 )
 from setgen.penalty import MarginRecord, PenaltyParams, margin_stats, solve_lambda
 from setgen.tasks import TaskSpec, generate, task1_truth, task2_truth, threshold_truth
-from tests.conftest import OracleLabelPosterior
+from tests.conftest import OracleLabelPosterior, PositiveTokenOracle
 from tests.test_decoder import Posterior, eq1_decode
 from tests.test_lambda_net import separable_examples
 from tests.test_penalty import grid_solve, objective, random_records

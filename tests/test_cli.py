@@ -265,6 +265,16 @@ def test_config_file_merging(tmp_path, capsys):
     assert "'bogus'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--task", "task1", "--n", "5", "--config", "c.json"],
+    ["eval", "--run", "run", "--seed", "9"],
+])
+def test_flags_a_verb_does_not_read_fail_at_parsing(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+
+
 def test_run_directories_are_append_only(tmp_path):
     cfg = RunConfig(task="threshold", variant="scalar", n=30, epochs=2, seed=1)
     out = tmp_path / "run"

@@ -9,7 +9,6 @@ from setgen.decoder import (
     penalized_argmax,
     verify_penalty_binding,
 )
-from setgen.lambda_net import PositiveTokenOracle
 from setgen.models import SequenceModel
 from setgen.penalty import (
     MarginRecord,
@@ -18,7 +17,7 @@ from setgen.penalty import (
     solve_lambda,
     solve_lambda_per_position,
 )
-from tests.conftest import OracleLabelPosterior
+from tests.conftest import OracleLabelPosterior, PositiveTokenOracle, greedy_decode
 from tests.test_penalty import OracleStepper, seq_dataset
 
 
@@ -236,31 +235,10 @@ def test_sequence_decode_with_oracle_gate_random_target_sets():
 
 def test_sequence_decode_per_position_oracle_stepper_is_exact():
     ds = seq_dataset([["12", "13", "2"], ["404", "44", "9"]], max_len=4)
-    stepper = OracleStepper(ds)
-    params = solve_lambda_per_position(stepper, ds)
+    model = OracleStepper(ds)
+    params = solve_lambda_per_position(model, ds)
     assert all(s.feasible for s in params.solutions)
-
-    class SteppingModel:
-        # adapts the oracle stepper to the decoding interface
-        eos = ds.universe - 1
-        start = ds.universe
-        max_len = ds.max_len
-
-        def __init__(self, x):
-            self.x = x
-
-        def encode(self, x):
-            return (), ()
-
-        def decode_step(self, h, c, token):
-            prefix = h if token == self.start else h + (token,)
-            probs = stepper.step_posterior(self.x, prefix)
-            # oracle probabilities stand in for softmax(logits): use log-space
-            logits = np.log(np.maximum(probs, 1e-12))
-            return logits, prefix, ()
-
     for s in ds.samples:
-        model = SteppingModel(s.x)
         res = decode_sequence_set(model, params, s.x, max_len=ds.max_len)
         assert res.sequences == s.y_set
 
@@ -280,7 +258,7 @@ def test_sequence_decode_memorized_model_matches_greedy():
     params = solve_lambda_per_position(model, ds)
     res = decode_sequence_set(model, params, x)
     assert res.sequences == frozenset({y})
-    assert model.greedy_decode(x) == y
+    assert greedy_decode(model, x) == y
 
 
 def test_sequence_decode_all_rejected_gives_empty_set_and_flag():

@@ -6,7 +6,6 @@ from setgen.core import Dataset, SetSample, TrainingError, seq_from_str
 from setgen.lambda_net import (
     LambdaNet,
     LambdaNetExample,
-    PositiveTokenOracle,
     _recurrent_arrays,
     _step_features,
     _window_features,
@@ -16,26 +15,24 @@ from setgen.lambda_net import (
     train_lambda_net,
 )
 from setgen.models import LabelModel, TrainConfig, gradient_check
-from setgen.penalty import position_candidates
+from tests.conftest import PositiveTokenOracle, PrefixStepper
 from tests.test_penalty import OracleStepper, seq_dataset
 
 VOCAB = 11
 
 
-class SeparableLogits:
+class SeparableLogits(PrefixStepper):
     """Stepper whose logits put every positive token a fixed margin above noise."""
 
     def __init__(self, dataset, margin=2.0, noise=0.3, seed=0):
-        self.by_x = {s.x: s.y for s in dataset.samples}
-        self.vocab = dataset.universe
+        super().__init__(dataset)
         self.margin = margin
         self.rng = np.random.default_rng(seed)
         self.noise = noise
 
-    def step_logits(self, x, prefix):
-        pos, _ = position_candidates(self.by_x[x], tuple(prefix), self.vocab)
+    def logits(self, positives):
         logits = self.rng.uniform(0, self.noise, size=self.vocab)
-        for t in pos:
+        for t in positives:
             logits[t] += self.margin
         return logits
 
@@ -73,13 +70,7 @@ def token_accuracy(net, examples):
 
 def test_single_target_single_positive_per_position():
     ds = seq_dataset([["2"]], max_len=2)
-    model = OracleStepper(ds)
-
-    class AsLogits:
-        def step_logits(self, x, prefix):
-            return np.log(np.maximum(model.step_posterior(x, prefix), 1e-12))
-
-    examples = build_lambda_training_set(AsLogits(), ds)
+    examples = build_lambda_training_set(OracleStepper(ds), ds)
     by_pos = {e.position: e for e in examples}
     assert sum(by_pos[1].targets) == 1
     assert by_pos[1].targets[2] == 1

@@ -6,17 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from setgen import nn
 from setgen.core import Dataset, SetSample, ValidationError
+from setgen.models import SequenceModel
 from setgen.penalty import (
     FeasibleInterval,
     MarginRecord,
     PenaltyParams,
     _hinge_objective,
+    margin_records,
     margin_stats,
     position_candidates,
+    prefix_nodes,
     solve_lambda,
     solve_lambda_per_position,
 )
+from tests.conftest import PrefixStepper
 
 GRID = np.arange(-1.0, 1.0 + 1e-4, 1e-4)
 
@@ -292,22 +297,45 @@ def test_position_candidates_rejects_unmatched_prefix():
         position_candidates(seqs("2"), (5,), 11)
 
 
+def test_prefix_nodes_walk_each_prefix_once_and_match_a_replay():
+    targets = tuple(sorted(seqs("12", "13", "2")))
+    sample = SetSample(x=(4, 0, 7), y=targets)
+    model = SequenceModel(input_vocab=10, vocab=11, max_len=4, embed_dim=5,
+                          enc_hidden=4, dec_hidden=6, seed=2)
+    nodes = list(prefix_nodes(model, sample))
+    assert [(p, n) for p, _, n in nodes] == [
+        ((), [1, 1, 2]), ((1,), [2, 3]), ((1, 2), [10]), ((1, 3), [10]), ((2,), [10])]
+    for prefix, logits, nexts in nodes:
+        assert set(nexts) == position_candidates(targets, prefix, 11)[0]
+        k = len(prefix)
+        assert len(nexts) == sum(len(t) > k and t[:k] == prefix for t in targets)
+        h, c = model.encode(sample.x)
+        replay, h, c = model.decode_step(h, c, model.start)
+        for tok in prefix:
+            replay, h, c = model.decode_step(h, c, tok)
+        assert np.array_equal(logits, replay)
+        assert np.array_equal(model.step_logits(sample.x, prefix), replay)
+
+
+def test_margin_records_one_per_produced_element():
+    probs = np.array([0.5, 0.3, 0.2])
+    records = margin_records(probs, [0, 1], [2], [0, 1, 1])
+    assert records == [MarginRecord(p=p, l_pos_min=0.3, l_neg_max=0.2)
+                       for p in (0.5, 0.3, 0.3)]
+    assert margin_records(probs, [0, 1, 2], [], [0, 1, 2]) == []
+
+
 # --- per-position solve ----------------------------------------------------------------
 
 
-class OracleStepper:
-    """step_posterior uniform over the sample's positive continuations."""
+class OracleStepper(PrefixStepper):
+    """Logits 0.0 on the positive continuations and -inf elsewhere, so the
+    posterior is exactly uniform over the positives."""
 
-    def __init__(self, dataset):
-        self.by_x = {s.x: s.y for s in dataset.samples}
-        self.vocab = dataset.universe
-
-    def step_posterior(self, x, prefix):
-        pos, _ = position_candidates(self.by_x[x], tuple(prefix), self.vocab)
-        probs = np.zeros(self.vocab)
-        for t in sorted(pos):
-            probs[t] = 1.0 / len(pos)
-        return probs
+    def logits(self, positives):
+        out = np.full(self.vocab, -np.inf)
+        out[sorted(positives)] = 0.0
+        return out
 
 
 def seq_dataset(target_strs_per_sample, max_len, vocab=11):
@@ -337,8 +365,8 @@ def test_per_position_matches_scalar_on_first_position():
     # rebuild position-1 records by hand and solve them with the scalar path
     records = []
     for s in ds.samples:
-        probs = model.step_posterior(s.x, ())
         pos, neg = position_candidates(s.y, (), ds.universe)
+        probs = nn.softmax(model.logits(pos))
         l_pos_min = float(min(probs[t] for t in pos))
         l_neg_max = float(max(probs[t] for t in neg))
         for t in sorted(seq[0] for seq in s.y):
