@@ -134,7 +134,6 @@ def _train_cfg(cfg: RunConfig, epochs: int, seed_offset: int = 0) -> TrainConfig
         learning_rate=cfg.learning_rate,
         batch_size=cfg.batch_size,
         epochs=epochs,
-        optimizer="adam",
         seed=cfg.seed + seed_offset,
         hidden_sizes=(cfg.hidden,),
     )

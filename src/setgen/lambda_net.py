@@ -77,10 +77,7 @@ def _window_features(logits: np.ndarray, position: int, max_len: int,
         ranked,
         np.full(radius, ranked[-1]),
     ])
-    windows = np.empty((v, 2 * radius + 1))
-    for k in range(v):
-        r = rank_of[k]
-        windows[k] = padded[r:r + 2 * radius + 1]
+    windows = padded[rank_of[:, None] + np.arange(2 * radius + 1)]
     scalars = np.empty((v, N_SCALAR_FEATURES))
     scalars[:, 0] = centered
     scalars[:, 1] = rank_of / v
@@ -367,14 +364,16 @@ def train_lambda_net(examples: list[LambdaNetExample], variant: str,
     net = LambdaNet(variant, vocab, max_len, hidden=hidden, filters=filters,
                     dense=dense, threshold=threshold, pos_weight=pos_weight,
                     seed=cfg.seed)
+    # Both variants batch whole examples: a windowed batch is the V token
+    # rows of each of its examples, flattened back to rows.
     if variant == "recurrent":
         feats, targets = _recurrent_arrays(examples, max_len)
         weights = np.where(targets > 0.5, pos_weight, 1.0)
         batches = lambda idx: (feats[idx], targets[idx], weights[idx])
-        n_items = len(examples)
     else:
         wins, scals, targets = _windowed_arrays(examples, max_len, net.radius)
         weights = np.where(targets > 0.5, pos_weight, 1.0)
-        batches = lambda idx: (wins[idx], scals[idx], targets[idx], weights[idx])
-        n_items = targets.shape[0]
-    return _run_epochs(net, batches, n_items, cfg, rng)
+        by_example = [a.reshape((len(examples), vocab) + a.shape[1:])
+                      for a in (wins, scals, targets, weights)]
+        batches = lambda idx: tuple(a[idx].reshape((-1,) + a.shape[2:]) for a in by_example)
+    return _run_epochs(net, batches, len(examples), cfg, rng)

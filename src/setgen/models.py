@@ -36,15 +36,12 @@ class TrainConfig:
     learning_rate: float = 1e-3
     batch_size: int = 15
     epochs: int = 200
-    optimizer: str = "adam"  # "adam" | "sgd"
     seed: int = 0
     hidden_sizes: tuple[int, ...] = (64,)
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0 or self.batch_size <= 0 or self.epochs <= 0:
             raise ValidationError("learning rate, batch size, and epochs must be positive")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValidationError(f"unknown optimizer {self.optimizer!r}")
         if any(h <= 0 for h in self.hidden_sizes):
             raise ValidationError("hidden sizes must be positive")
 
@@ -487,7 +484,7 @@ class DecoderSession:
 def _run_epochs(model, batches_of, n_items: int, cfg: TrainConfig,
                 rng: np.random.Generator):
     """Shared minibatch loop: shuffle, step, record epoch losses, check finiteness."""
-    opt = nn.make_optimizer(cfg.optimizer, model.params, cfg.learning_rate)
+    opt = nn.Adam(model.params, cfg.learning_rate)
     model.train_losses = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_items)

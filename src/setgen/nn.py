@@ -209,35 +209,29 @@ def conv1d_backward(dout: np.ndarray, cache):
 
 def maxpool_forward(x: np.ndarray):
     """Global max over the last axis of (B, F, P); returns (B, F)."""
-    idx = np.argmax(x, axis=2)
-    out = np.take_along_axis(x, idx[:, :, None], axis=2)[:, :, 0]
-    return out, (x.shape, idx)
+    B, F, _ = x.shape
+    rows, cols, idx = np.arange(B)[:, None], np.arange(F), np.argmax(x, axis=2)
+    return x[rows, cols, idx], (x.shape, (rows, cols, idx))
 
 
 def maxpool_backward(dout: np.ndarray, cache):
-    shape, idx = cache
+    shape, where = cache
     dx = np.zeros(shape)
-    np.put_along_axis(dx, idx[:, :, None], dout[:, :, None], axis=2)
+    dx[where] = dout
     return dx
 
 
-# --- optimizers -----------------------------------------------------------------
-
-
-class SGD:
-    """Plain gradient descent over a dict of parameter arrays."""
-
-    def __init__(self, params: dict[str, np.ndarray], lr: float):
-        self.params = params
-        self.lr = lr
-
-    def step(self, grads: dict[str, np.ndarray]) -> None:
-        for name, p in self.params.items():
-            p -= self.lr * grads[name]
+# --- optimizer -------------------------------------------------------------------
 
 
 class Adam:
-    """Adaptive-moment estimation with bias correction."""
+    """Adaptive-moment estimation with bias correction, updating in place.
+
+    Each parameter keeps its moments and two scratch arrays, so a step
+    allocates nothing; the operations keep the association of
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
+    ``p -= (lr*m_hat) / (sqrt(v_hat) + eps)``.
+    """
 
     def __init__(self, params: dict[str, np.ndarray], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -249,23 +243,26 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self._scratch = {k: (np.empty_like(v), np.empty_like(v)) for k, v in params.items()}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
         for name, p in self.params.items():
-            g = grads[name]
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[name] / b1t
-            v_hat = self.v[name] / b2t
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-def make_optimizer(kind: str, params: dict[str, np.ndarray], lr: float):
-    if kind == "adam":
-        return Adam(params, lr)
-    if kind == "sgd":
-        return SGD(params, lr)
-    raise ValueError(f"unknown optimizer {kind!r}")
+            g, m, v = grads[name], self.m[name], self.v[name]
+            a, b = self._scratch[name]
+            m *= self.beta1
+            np.multiply(g, 1.0 - self.beta1, out=a)
+            m += a
+            v *= self.beta2
+            np.multiply(g, 1.0 - self.beta2, out=a)
+            a *= g
+            v += a
+            np.divide(v, b2t, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            np.divide(m, b1t, out=a)
+            a *= self.lr
+            a /= b
+            p -= a

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -262,3 +264,72 @@ def test_checkpoint_without_pos_weight_loads_unweighted():
     logits = np.linspace(-2, 1, VOCAB)
     raw = _raw_scores(back, logits, 1)
     assert np.array_equal(back.scores(logits, 1), nn.sigmoid(raw))
+
+
+def _loop_windows(logits, radius):
+    """Reference rank windows, one Python slice per token."""
+    v = len(logits)
+    centered = logits - np.max(logits)
+    order = np.lexsort((np.arange(v), -centered))
+    ranked = centered[order]
+    padded = np.concatenate([np.full(radius, ranked[0]), ranked, np.full(radius, ranked[-1])])
+    windows = np.empty((v, 2 * radius + 1))
+    for r, k in enumerate(order):
+        windows[k] = padded[r:r + 2 * radius + 1]
+    return windows
+
+
+@pytest.mark.parametrize("radius", [1, 2, 4])
+def test_window_features_match_loop_reference(radius):
+    rng = np.random.default_rng(radius)
+    vectors = [rng.normal(size=VOCAB), rng.integers(0, 3, size=VOCAB).astype(float),
+               np.zeros(VOCAB), rng.normal(size=3)]
+    for logits in vectors:
+        windows, _ = _window_features(logits, 2, 4, radius)
+        assert np.array_equal(windows, _loop_windows(logits, radius))
+
+
+def test_maxpool_matches_take_along_axis_reference():
+    rng = np.random.default_rng(12)
+    x = rng.integers(0, 3, size=(5, 4, 3)).astype(float)  # ties pick the first max
+    out, cache = nn.maxpool_forward(x)
+    idx = np.argmax(x, axis=2)[:, :, None]
+    assert np.array_equal(out, np.take_along_axis(x, idx, axis=2)[:, :, 0])
+    dout = rng.normal(size=out.shape)
+    want = np.zeros(x.shape)
+    np.put_along_axis(want, idx, dout[:, :, None], axis=2)
+    assert np.array_equal(nn.maxpool_backward(dout, cache), want)
+
+
+@pytest.mark.parametrize("variant", ["recurrent", "windowed"])
+def test_both_gates_batch_whole_examples(variant, monkeypatch):
+    rng = np.random.default_rng(13)
+    n, k, epochs = 23, 5, 2
+    examples = separable_examples(rng, n=n)
+    batches = []
+    real = LambdaNet.loss_and_grads
+
+    def spy(self, batch):
+        batches.append(batch)
+        return real(self, batch)
+
+    monkeypatch.setattr(LambdaNet, "loss_and_grads", spy)
+    cfg = TrainConfig(learning_rate=1e-3, batch_size=k, epochs=epochs, seed=0)
+    train_lambda_net(examples, variant, cfg, max_len=3)
+    assert len(batches) == epochs * math.ceil(n / k)
+    if variant == "recurrent":
+        return
+    blocks = {}
+    for i, e in enumerate(examples):
+        w, s = _window_features(np.asarray(e.logits), e.position, 3, 2)
+        blocks[(w.tobytes(), s.tobytes(), np.asarray(e.targets, dtype=float).tobytes())] = i
+    per_epoch = math.ceil(n / k)
+    for epoch in range(epochs):
+        seen = []
+        for wins, scals, targets, _ in batches[epoch * per_epoch:(epoch + 1) * per_epoch]:
+            assert wins.shape[0] % VOCAB == 0 and wins.shape[0] <= k * VOCAB
+            for r in range(0, wins.shape[0], VOCAB):
+                key = (wins[r:r + VOCAB].tobytes(), scals[r:r + VOCAB].tobytes(),
+                       targets[r:r + VOCAB].tobytes())
+                seen.append(blocks[key])
+        assert sorted(seen) == list(range(n))

@@ -121,11 +121,32 @@ def test_training_is_bit_deterministic():
 def test_divergence_raises_training_error():
     pairs = [FlatPair(x=(1e3, -1e3), y_elem=1, group_id=0),
              FlatPair(x=(-1e3, 1e3), y_elem=0, group_id=1)]
-    # one sgd step at this rate overflows the weights; the next loss is non-finite
-    cfg = TrainConfig(learning_rate=1e308, batch_size=2, epochs=3, optimizer="sgd",
-                      seed=0, hidden_sizes=())
+    # one step at this rate overflows the weights; the next loss is non-finite
+    cfg = TrainConfig(learning_rate=1e308, batch_size=2, epochs=3, seed=0, hidden_sizes=())
     with pytest.raises(TrainingError, match="epoch"):
         train_label_model(pairs, cfg, n_labels=2)
+
+
+def test_adam_in_place_step_matches_textbook_update():
+    rng = np.random.default_rng(11)
+    shapes = {"W": (6, 4), "b": (4,), "scalar": (), "single": (1,)}
+    params = {k: rng.normal(size=s) for k, s in shapes.items()}
+    ref = {k: v.copy() for k, v in params.items()}
+    m = {k: np.zeros_like(v) for k, v in ref.items()}
+    v = {k: np.zeros_like(p) for k, p in ref.items()}
+    lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+    opt = nn.Adam(params, lr)
+    for t in range(1, 51):
+        grads = {k: rng.normal(size=s) * 10.0 ** rng.uniform(-4, 2) for k, s in shapes.items()}
+        opt.step(grads)
+        for k, g in grads.items():
+            m[k] = b1 * m[k] + (1.0 - b1) * g
+            v[k] = b2 * v[k] + (1.0 - b2) * g * g
+            m_hat = m[k] / (1.0 - b1 ** t)
+            v_hat = v[k] / (1.0 - b2 ** t)
+            ref[k] = ref[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        for k in shapes:
+            assert np.array_equal(params[k], ref[k]), (t, k)
 
 
 # --- multi-label baseline -------------------------------------------------------
