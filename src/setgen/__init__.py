@@ -45,8 +45,8 @@ from .penalty import (
     solve_lambda_per_position,
 )
 from .lambda_net import (
+    GateExamples,
     LambdaNet,
-    LambdaNetExample,
     build_lambda_training_set,
     train_lambda_net,
 )

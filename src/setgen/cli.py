@@ -30,6 +30,7 @@ from .lambda_net import (
     LambdaNet,
     build_label_lambda_training_set,
     build_lambda_training_set,
+    gate_accuracy,
     train_lambda_net,
 )
 from .models import (
@@ -221,23 +222,12 @@ def _gate_variant(cfg: RunConfig) -> str:
     return "recurrent" if cfg.variant == "learned-recurrent" else "windowed"
 
 
-def _gate_accuracy(gate: LambdaNet, examples) -> float:
-    """Token-level accuracy of the gate's thresholded decisions."""
-    hits = 0
-    total = 0
-    for ex in examples:
-        got = gate.classify(np.asarray(ex.logits), ex.position)
-        want = {k for k, t in enumerate(ex.targets) if t}
-        hits += sum((k in got) == (k in want) for k in range(len(ex.targets)))
-        total += len(ex.targets)
-    return hits / max(total, 1)
-
-
 def _fit_gate(cfg: RunConfig, model, train_ds: Dataset, report: dict) -> LambdaNet:
     """Train on the first 90% of samples; hold out the rest whole.
 
     The split is by sample, not by example, so no sample has prefixes on
-    both sides of it.
+    both sides of it.  A split too small to hold any sample out reports no
+    validation accuracy.
     """
     if train_ds.kind == "labels":
         build_examples, max_len = build_label_lambda_training_set, 1
@@ -251,9 +241,8 @@ def _fit_gate(cfg: RunConfig, model, train_ds: Dataset, report: dict) -> LambdaN
         filters=cfg.gate_filters, dense=cfg.gate_dense,
     )
     holdout = build_examples(model, replace(train_ds, samples=train_ds.samples[cut:]))
-    holdout = holdout or examples
     report["gate_train_losses"] = gate.train_losses
-    report["gate_validation_accuracy"] = _gate_accuracy(gate, holdout)
+    report["gate_validation_accuracy"] = gate_accuracy(gate, holdout)
     return gate
 
 
@@ -438,8 +427,8 @@ def reproduce(task: str, out: str, n: int = 1000, seed: int = 7, epochs: int | N
         print(f"[{COLUMN_NAMES[variant]:>14}] {metric}={report.aggregate:.4f} "
               f"exact={report.exact_match_rate:.3f} ({dt:.1f}s)", file=sys.stderr)
     criteria = _criteria(task, scores)
-    table = _format_table(task, metric, scores)
-    print(table)
+    names, cells = _table(task, scores)
+    print(_format_table(task, metric, names, cells))
     all_pass = all(ok for _, ok in criteria)
     for name, ok in criteria:
         print(f"[{'PASS' if ok else 'FAIL'}] {name}")
@@ -456,15 +445,10 @@ def reproduce(task: str, out: str, n: int = 1000, seed: int = 7, epochs: int | N
         "reports": reports,
     }
     _write_json(os.path.join(out, "reproduce_report.json"), doc)
-    cols = ["task", "metric"] + [COLUMN_NAMES[v] for v in REPRODUCE_VARIANTS[task]]
-    row = [task, metric] + [f"{scores[v]:.6f}" for v in REPRODUCE_VARIANTS[task]]
-    if task == "task2":
-        cols.insert(2, "multi-label")
-        row.insert(2, "N/A")
     with open(os.path.join(out, "table.csv"), "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(cols)
-        w.writerow(row)
+        w.writerow(["task", "metric"] + names)
+        w.writerow([task, metric] + [c if isinstance(c, str) else f"{c:.6f}" for c in cells])
     return doc, all_pass
 
 
@@ -489,18 +473,23 @@ def _criteria(task: str, scores: dict[str, float]) -> list[tuple[str, bool]]:
     return []
 
 
-def _format_table(task: str, metric: str, scores: dict[str, float]) -> str:
-    cols = REPRODUCE_VARIANTS[task]
-    names = [COLUMN_NAMES[v] for v in cols]
+def _table(task: str, scores: dict[str, float]) -> tuple[list[str], list]:
+    """Score column names and cells of the reproduce table, for stdout and table.csv.
+
+    Task2 has no multi-label column to score, so its cell reads N/A.
+    """
+    names = [COLUMN_NAMES[v] for v in REPRODUCE_VARIANTS[task]]
+    cells: list = [scores[v] for v in REPRODUCE_VARIANTS[task]]
     if task == "task2":
-        names = ["multi-label"] + names
+        names.insert(0, "multi-label")
+        cells.insert(0, "N/A")
+    return names, cells
+
+
+def _format_table(task: str, metric: str, names: list[str], cells: list) -> str:
     header = f"{'task':<8} {'metric':<7} " + " ".join(f"{n:>15}" for n in names)
-    cells = []
-    if task == "task2":
-        cells.append(f"{'N/A':>15}")
-    for v in cols:
-        cells.append(f"{scores[v]:>15.4f}")
-    return header + "\n" + f"{task:<8} {metric:<7} " + " ".join(cells)
+    row = " ".join(f"{c:>15}" if isinstance(c, str) else f"{c:>15.4f}" for c in cells)
+    return header + "\n" + f"{task:<8} {metric:<7} " + row
 
 
 # --- argument parsing ----------------------------------------------------------------

@@ -145,17 +145,15 @@ class SequenceDecodeResult:
         }
 
 
-def verify_penalty_binding(model, penalty: PenaltyParams,
-                           allow_mismatch: bool = False) -> None:
+def verify_penalty_binding(model, penalty: PenaltyParams) -> None:
     """Refuse to decode with a penalty calibrated against a different model."""
-    if penalty.model_hash is None or allow_mismatch:
+    if penalty.model_hash is None:
         return
     actual = content_hash(model)
     if actual != penalty.model_hash:
         raise ValidationError(
             "penalty was calibrated against a different model checkpoint "
-            f"({penalty.model_hash[:12]}... vs {actual[:12]}...); "
-            "pass allow_hash_mismatch=True to override"
+            f"({penalty.model_hash[:12]}... vs {actual[:12]}...)"
         )
 
 
@@ -170,8 +168,7 @@ def content_hash(model) -> str:
 
 def decode_sequence_set(model, penalty: PenaltyParams, x,
                         max_len: int | None = None, rho: float = 0.0,
-                        max_branches: int = 1024,
-                        allow_hash_mismatch: bool = False) -> SequenceDecodeResult:
+                        max_branches: int = 1024) -> SequenceDecodeResult:
     """Breadth-wise set-of-sequences decode.
 
     ``penalty`` must be per-position (each branch runs the penalized-argmax
@@ -185,7 +182,7 @@ def decode_sequence_set(model, penalty: PenaltyParams, x,
         raise ValidationError("sequence decoding needs a per-position or learned penalty")
     if penalty.variant == "learned" and penalty.classifier is None:
         raise ValidationError("learned penalty has no classifier attached")
-    verify_penalty_binding(model, penalty, allow_hash_mismatch)
+    verify_penalty_binding(model, penalty)
     max_len = max_len or model.max_len
     eos = model.eos
     h, c = model.encode(x)

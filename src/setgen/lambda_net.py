@@ -23,7 +23,6 @@ probability rather than to the class-weighted one.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,52 +36,60 @@ log = logging.getLogger(__name__)
 N_SCALAR_FEATURES = 4  # centered score, rank, position id, token id (normalized)
 
 
-@dataclass(frozen=True)
-class LambdaNetExample:
-    """Base-model scores at one decode position with per-token emit labels."""
+class GateExamples:
+    """Base-model scores at N decode positions with per-token emit labels."""
 
-    logits: tuple[float, ...]
-    position: int  # 1-based output position
-    targets: tuple[int, ...]  # 0/1 per token
-
-    def __post_init__(self) -> None:
-        if len(self.logits) != len(self.targets):
+    def __init__(self, logits, positions, targets):
+        self.logits = np.asarray(logits, dtype=float)  # (N, V) scores
+        self.positions = np.asarray(positions, dtype=int)  # (N,) 1-based output positions
+        self.targets = np.asarray(targets, dtype=float)  # (N, V) 0/1 per token
+        if self.logits.ndim != 2 or self.targets.shape != self.logits.shape:
             raise ValidationError("one target per token required")
-        if self.position < 1:
+        if self.positions.shape != self.logits.shape[:1]:
+            raise ValidationError("one position per example required")
+        if np.any(self.positions < 1):
             raise ValidationError("positions are 1-based")
+        if not np.all((self.targets == 0.0) | (self.targets == 1.0)):
+            raise ValidationError("targets must be 0 or 1")
+
+    def __len__(self) -> int:
+        return len(self.positions)
 
 
-def _step_features(logits: np.ndarray, position: int, max_len: int) -> np.ndarray:
-    """Per-token feature rows (V, 3): centered score, position id, token id."""
-    v = logits.shape[0]
-    centered = logits - np.max(logits)
-    feats = np.empty((v, 3))
-    feats[:, 0] = centered
-    feats[:, 1] = position / max_len
-    feats[:, 2] = np.arange(v) / v
-    return feats
+def _features(logits: np.ndarray, positions: np.ndarray, max_len: int,
+              radius: int | None = None) -> tuple[np.ndarray, ...]:
+    """A gate's forward inputs for N score rows (N, V), one row per token.
 
-
-def _window_features(logits: np.ndarray, position: int, max_len: int,
-                     radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-window rows (V, 2r+1) and scalar rows (V, 4) for every token."""
-    v = logits.shape[0]
-    centered = logits - np.max(logits)
-    order = np.lexsort((np.arange(v), -centered))  # score desc, token id asc
-    ranked = centered[order]
-    rank_of = np.empty(v, dtype=int)
-    rank_of[order] = np.arange(v)
-    padded = np.concatenate([
-        np.full(radius, ranked[0]),
-        ranked,
-        np.full(radius, ranked[-1]),
-    ])
-    windows = padded[rank_of[:, None] + np.arange(2 * radius + 1)]
-    scalars = np.empty((v, N_SCALAR_FEATURES))
-    scalars[:, 0] = centered
-    scalars[:, 1] = rank_of / v
-    scalars[:, 2] = position / max_len
-    scalars[:, 3] = np.arange(v) / v
+    Without a radius: the recurrent gate's (N, V, 3) rows of centered score,
+    position id and token id.  With one: the windowed gate's rank windows
+    (N, V, 2r+1), the rank-ordered scores around each token's rank with the
+    ends repeated, and its (N, V, 4) scalar rows of centered score, rank,
+    position id and token id.  Ranks order scores descending, ties by token id.
+    """
+    n, v = logits.shape
+    ids = np.arange(v)
+    centered = logits - logits.max(axis=1, keepdims=True)
+    if radius is None:
+        feats = np.empty((n, v, 3))
+        feats[..., 0] = centered
+        feats[..., 1] = positions[:, None]
+        feats[..., 2] = ids
+        feats /= (1.0, max_len, v)
+        return (feats,)
+    # Array methods rather than np.* functions: this runs once per decoder
+    # branch, where the functions' dispatch overhead is a measurable share.
+    order = (-centered).argsort(axis=1, kind="stable")
+    rank_of = order.argsort(axis=1)  # inverse permutation
+    rows = np.arange(n)[:, None]
+    # Window j of rank r reads rank r + j - radius, clipped into the row.
+    offsets = ids[:, None] + np.arange(-radius, radius + 1)
+    windows = centered[rows, order].take(offsets, axis=1, mode="clip")[rows, rank_of]
+    scalars = np.empty((n, v, N_SCALAR_FEATURES))
+    scalars[..., 0] = centered
+    scalars[..., 1] = rank_of
+    scalars[..., 2] = positions[:, None]
+    scalars[..., 3] = ids
+    scalars /= (1.0, v, max_len, v)
     return windows, scalars
 
 
@@ -173,22 +180,27 @@ class LambdaNet:
         return grads
 
     def _forward_windowed(self, windows: np.ndarray, scalars: np.ndarray):
-        """windows (N, 2r+1), scalars (N, 4) -> raw scores (N,) plus caches."""
-        conv, conv_cache = nn.conv1d_forward(windows, self.params["conv_W"],
-                                             self.params["conv_b"])
+        """windows (B, V, 2r+1), scalars (B, V, 4) -> raw scores (B, V) plus caches.
+
+        Every token row goes through the layers on its own, so the batch is
+        flattened to B*V rows.
+        """
+        B, V, width = windows.shape
+        conv, conv_cache = nn.conv1d_forward(windows.reshape(B * V, width),
+                                             self.params["conv_W"], self.params["conv_b"])
         act, act_cache = nn.tanh_forward(conv)
         pooled, pool_cache = nn.maxpool_forward(act)
-        joined = np.concatenate([pooled, scalars], axis=1)
+        joined = np.concatenate([pooled, scalars.reshape(B * V, -1)], axis=1)
         z1, d1_cache = nn.dense_forward(joined, self.params["W1"], self.params["b1"])
         h1, t1_cache = nn.tanh_forward(z1)
         z2, d2_cache = nn.dense_forward(h1, self.params["W2"], self.params["b2"])
         caches = (conv_cache, act_cache, pool_cache, d1_cache, t1_cache, d2_cache)
-        return z2[:, 0], caches
+        return z2.reshape(B, V), caches
 
     def _backward_windowed(self, dscores: np.ndarray, caches):
         conv_cache, act_cache, pool_cache, d1_cache, t1_cache, d2_cache = caches
         grads = {}
-        d = dscores[:, None]
+        d = dscores.reshape(-1, 1)
         d, grads["W2"], grads["b2"] = nn.dense_backward(d, d2_cache)
         d = nn.tanh_backward(d, t1_cache)
         d, grads["W1"], grads["b1"] = nn.dense_backward(d, d1_cache)
@@ -197,6 +209,16 @@ class LambdaNet:
         d = nn.tanh_backward(d, act_cache)
         _, grads["conv_W"], grads["conv_b"] = nn.conv1d_backward(d, conv_cache)
         return grads
+
+    def _inputs(self, logits: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, ...]:
+        """This variant's forward inputs for N score rows (N, V)."""
+        radius = None if self.variant == "recurrent" else self.radius
+        return _features(logits, positions, self.max_len, radius)
+
+    def _forward(self, *inputs):
+        if self.variant == "recurrent":
+            return self._forward_recurrent(*inputs)
+        return self._forward_windowed(*inputs)
 
     # -- loss (weighted binary cross-entropy) --------------------------------
 
@@ -207,39 +229,35 @@ class LambdaNet:
         return self._loss_impl(batch, with_grads=True)
 
     def _loss_impl(self, batch, with_grads: bool):
-        if self.variant == "recurrent":
-            feats, targets, weights = batch
-            scores, caches = self._forward_recurrent(feats)
-            loss, dscores = nn.binary_cross_entropy(scores, targets, weights)
-            if not with_grads:
-                return loss, None
-            return loss, self._backward_recurrent(dscores, caches)
-        windows, scalars, targets, weights = batch
-        scores, caches = self._forward_windowed(windows, scalars)
+        """``batch`` is the forward inputs, then (B, V) targets and weights."""
+        *inputs, targets, weights = batch
+        scores, caches = self._forward(*inputs)
         loss, dscores = nn.binary_cross_entropy(scores, targets, weights)
         if not with_grads:
             return loss, None
+        if self.variant == "recurrent":
+            return loss, self._backward_recurrent(dscores, caches)
         return loss, self._backward_windowed(dscores, caches)
 
     # -- inference ------------------------------------------------------------
 
-    def scores(self, logits, position: int) -> np.ndarray:
-        """Per-token emit probabilities for one position's score vector.
+    def scores(self, logits, position) -> np.ndarray:
+        """Per-token emit probabilities of one (V,) score row or of (N, V) rows.
 
-        The class-weighted loss drives the raw score toward
+        ``position`` is the row's 1-based position, or (N,) positions for N
+        rows.  The class-weighted loss drives the raw score toward
         ``logit(p_emit) + log(pos_weight)``; subtracting that shift returns
         the emit probability itself.
         """
         logits = np.asarray(logits, dtype=float)
-        if logits.shape != (self.vocab,):
-            raise ValidationError(f"expected {self.vocab} scores, got {logits.shape}")
-        if self.variant == "recurrent":
-            feats = _step_features(logits, position, self.max_len)[None, :, :]
-            raw = self._forward_recurrent(feats)[0][0]
-        else:
-            windows, scalars = _window_features(logits, position, self.max_len, self.radius)
-            raw = self._forward_windowed(windows, scalars)[0]
-        return nn.sigmoid(raw - np.log(self.pos_weight))
+        if logits.ndim not in (1, 2) or logits.shape[-1] != self.vocab:
+            raise ValidationError(f"expected {self.vocab} scores per row, got {logits.shape}")
+        rows = logits.reshape(-1, self.vocab)
+        positions = np.asarray(position)
+        if positions.size != len(rows):
+            raise ValidationError("one position per score row required")
+        raw = self._forward(*self._inputs(rows, positions.reshape(-1)))[0]
+        return nn.sigmoid(raw - np.log(self.pos_weight)).reshape(logits.shape)
 
     def classify(self, logits, position: int, prefix: TokenSeq | None = None
                  ) -> frozenset[int]:
@@ -277,7 +295,7 @@ class LambdaNet:
         return net
 
 
-def build_lambda_training_set(model, dataset: Dataset) -> list[LambdaNetExample]:
+def build_lambda_training_set(model, dataset: Dataset) -> GateExamples:
     """One example per (sample, distinct ground-truth prefix) of a sequence dataset.
 
     Targets come from prefix continuation; the logit vector is the base
@@ -286,62 +304,45 @@ def build_lambda_training_set(model, dataset: Dataset) -> list[LambdaNetExample]
     """
     if dataset.kind != "sequences":
         raise ValidationError("gate training data requires a sequence dataset")
-    examples: list[LambdaNetExample] = []
-    n_pos = 0
-    n_tok = 0
+    logits, positions, nexts_of = [], [], []
     for sample in dataset.samples:
         if not sample.y:
             continue
-        for prefix, logits, nexts in prefix_nodes(model, sample):
-            targets = tuple(1 if k in nexts else 0 for k in range(dataset.universe))
-            examples.append(LambdaNetExample(
-                logits=tuple(logits.tolist()),
-                position=len(prefix) + 1,
-                targets=targets,
-            ))
-            n_pos += sum(targets)
-            n_tok += len(targets)
-    if examples:
+        for prefix, row, nexts in prefix_nodes(model, sample):
+            logits.append(row)
+            positions.append(len(prefix) + 1)
+            nexts_of.append(nexts)
+    targets = np.zeros((len(nexts_of), dataset.universe))
+    for i, nexts in enumerate(nexts_of):
+        targets[i, nexts] = 1.0
+    examples = GateExamples(np.reshape(logits, targets.shape), positions, targets)
+    if len(examples):
         log.info("gate training set: %d examples, %.1f%% positive tokens",
-                 len(examples), 100.0 * n_pos / max(n_tok, 1))
+                 len(examples), 100.0 * np.mean(targets))
     return examples
 
 
-def build_label_lambda_training_set(model, dataset: Dataset) -> list[LambdaNetExample]:
+def build_label_lambda_training_set(model, dataset: Dataset) -> GateExamples:
     """Gate examples for a label task: one position, targets are the label sets."""
     if dataset.kind != "labels":
         raise ValidationError("expected a label dataset")
-    examples = []
-    for sample in dataset.samples:
-        logits = np.asarray(model.scores(np.asarray(sample.x)[None, :])[0], dtype=float)
-        targets = tuple(1 if k in sample.y_set else 0 for k in range(dataset.universe))
-        examples.append(LambdaNetExample(
-            logits=tuple(logits.tolist()), position=1, targets=targets,
-        ))
-    return examples
+    n = len(dataset.samples)
+    X = np.asarray([s.x for s in dataset.samples], dtype=float).reshape(n, dataset.input_dim)
+    targets = np.zeros((n, dataset.universe))
+    for i, sample in enumerate(dataset.samples):
+        targets[i, list(sample.y_set)] = 1.0
+    return GateExamples(model.scores(X), np.ones(n, dtype=int), targets)
 
 
-def _recurrent_arrays(examples, max_len: int):
-    feats = np.stack([
-        _step_features(np.asarray(e.logits), e.position, max_len) for e in examples
-    ])
-    targets = np.asarray([e.targets for e in examples], dtype=float)
-    return feats, targets
+def gate_accuracy(gate: LambdaNet, examples: GateExamples) -> float | None:
+    """Token-level accuracy of the gate's thresholded decisions; None without examples."""
+    if not len(examples):
+        return None
+    probs = gate.scores(examples.logits, examples.positions)
+    return float(np.mean((probs >= gate.threshold) == (examples.targets == 1.0)))
 
 
-def _windowed_arrays(examples, max_len: int, radius: int):
-    wins = []
-    scals = []
-    targs = []
-    for e in examples:
-        w, s = _window_features(np.asarray(e.logits), e.position, max_len, radius)
-        wins.append(w)
-        scals.append(s)
-        targs.append(e.targets)
-    return np.concatenate(wins), np.concatenate(scals), np.concatenate(targs).astype(float)
-
-
-def train_lambda_net(examples: list[LambdaNetExample], variant: str,
+def train_lambda_net(examples: GateExamples, variant: str,
                      cfg: TrainConfig, *, max_len: int | None = None,
                      threshold: float = 0.5, hidden: int = 24, filters: int = 8,
                      dense: int = 16) -> LambdaNet:
@@ -349,14 +350,15 @@ def train_lambda_net(examples: list[LambdaNetExample], variant: str,
 
     The weight is stored on the returned gate, whose ``scores`` undo the
     prior shift it causes; ``threshold`` then cuts the emit probability.
+    Batches are whole examples, the V token rows of each.
     """
-    if not examples:
+    if not len(examples):
         raise ValidationError("no gate training examples")
-    vocab = len(examples[0].logits)
-    max_len = max_len or max(e.position for e in examples)
-    all_targets = np.asarray([e.targets for e in examples], dtype=float)
-    n_pos = float(np.sum(all_targets))
-    n_neg = float(all_targets.size - n_pos)
+    targets = examples.targets
+    vocab = targets.shape[1]
+    max_len = max_len or int(examples.positions.max())
+    n_pos = float(np.sum(targets))
+    n_neg = float(targets.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise TrainingError("gate training set is single-class; nothing to separate")
     pos_weight = n_neg / n_pos
@@ -364,16 +366,6 @@ def train_lambda_net(examples: list[LambdaNetExample], variant: str,
     net = LambdaNet(variant, vocab, max_len, hidden=hidden, filters=filters,
                     dense=dense, threshold=threshold, pos_weight=pos_weight,
                     seed=cfg.seed)
-    # Both variants batch whole examples: a windowed batch is the V token
-    # rows of each of its examples, flattened back to rows.
-    if variant == "recurrent":
-        feats, targets = _recurrent_arrays(examples, max_len)
-        weights = np.where(targets > 0.5, pos_weight, 1.0)
-        batches = lambda idx: (feats[idx], targets[idx], weights[idx])
-    else:
-        wins, scals, targets = _windowed_arrays(examples, max_len, net.radius)
-        weights = np.where(targets > 0.5, pos_weight, 1.0)
-        by_example = [a.reshape((len(examples), vocab) + a.shape[1:])
-                      for a in (wins, scals, targets, weights)]
-        batches = lambda idx: tuple(a[idx].reshape((-1,) + a.shape[2:]) for a in by_example)
-    return _run_epochs(net, batches, len(examples), cfg, rng)
+    weights = np.where(targets > 0.5, pos_weight, 1.0)
+    arrays = (*net._inputs(examples.logits, examples.positions), targets, weights)
+    return _run_epochs(net, lambda idx: tuple(a[idx] for a in arrays), len(examples), cfg, rng)

@@ -16,7 +16,7 @@ import pytest
 from setgen.cli import reproduce
 from setgen.core import seq_from_str
 from setgen.decoder import decode_sequence_set, decode_set
-from setgen.lambda_net import LambdaNet, _recurrent_arrays, _windowed_arrays
+from setgen.lambda_net import LambdaNet
 from setgen.metrics import edit_distance, f1_set, mean_edit_distance
 from setgen.models import (
     LabelModel,
@@ -28,7 +28,7 @@ from setgen.penalty import MarginRecord, PenaltyParams, margin_stats, solve_lamb
 from setgen.tasks import TaskSpec, generate, task1_truth, task2_truth, threshold_truth
 from tests.conftest import OracleLabelPosterior, PositiveTokenOracle
 from tests.test_decoder import Posterior, eq1_decode
-from tests.test_lambda_net import separable_examples
+from tests.test_lambda_net import gate_batch, separable_examples
 from tests.test_penalty import grid_solve, objective, random_records
 
 PINNED_SEED = 20240601
@@ -151,14 +151,10 @@ def test_c6_gradient_checks_all_families():
 
         examples = separable_examples(rng, n=3, vocab=5)
         rec = LambdaNet("recurrent", 5, max_len=3, hidden=4, seed=seed)
-        feats, targets = _recurrent_arrays(examples, 3)
-        weights = np.where(targets > 0.5, 2.0, 1.0)
-        assert gradient_check(rec, (feats, targets, weights), eps=1e-4) < 1e-4
+        assert gradient_check(rec, gate_batch(rec, examples, 2.0), eps=1e-4) < 1e-4
 
         win = LambdaNet("windowed", 5, max_len=3, filters=3, dense=4, seed=seed)
-        wins, scals, targets = _windowed_arrays(examples, 3, win.radius)
-        weights = np.where(targets > 0.5, 2.0, 1.0)
-        assert gradient_check(win, (wins, scals, targets, weights), eps=1e-4) < 1e-4
+        assert gradient_check(win, gate_batch(win, examples, 2.0), eps=1e-4) < 1e-4
     assert time.perf_counter() - t0 < 60.0
 
 

@@ -104,6 +104,16 @@ def test_train_learned_windowed_writes_gate_and_accuracy(tmp_path):
     assert report["penalty"] == pen
 
 
+def test_gate_validation_accuracy_is_null_without_holdout(tmp_path):
+    # n=6 leaves 4 training samples; the 90% cut keeps all 4 for the gate.
+    cfg = RunConfig(task="threshold", variant="learned-windowed", n=6, epochs=2, seed=1)
+    out = tmp_path / "run"
+    train_run(cfg, out=str(out))
+    report = json.loads(read(out / "train_report.json"))
+    assert report["n_train"] == 4
+    assert report["gate_validation_accuracy"] is None
+
+
 def test_baseline_on_task2_is_refused():
     with pytest.raises(ValidationError, match="not applicable"):
         RunConfig(task="task2", variant="baseline")

@@ -305,4 +305,3 @@ def test_penalty_binding_refuses_mismatched_hash():
                             model_hash="0" * 64)
     with pytest.raises(ValidationError, match="different model"):
         verify_penalty_binding(model, penalty)
-    verify_penalty_binding(model, penalty, allow_mismatch=True)  # no raise

@@ -4,19 +4,18 @@ import numpy as np
 import pytest
 
 from setgen import nn
-from setgen.core import Dataset, SetSample, TrainingError, seq_from_str
+from setgen.core import Dataset, SetSample, TrainingError, ValidationError, seq_from_str
 from setgen.lambda_net import (
+    GateExamples,
     LambdaNet,
-    LambdaNetExample,
-    _recurrent_arrays,
-    _step_features,
-    _window_features,
-    _windowed_arrays,
+    _features,
     build_lambda_training_set,
     build_label_lambda_training_set,
+    gate_accuracy,
     train_lambda_net,
 )
 from setgen.models import LabelModel, TrainConfig, gradient_check
+from setgen.penalty import prefix_nodes
 from tests.conftest import PositiveTokenOracle, PrefixStepper
 from tests.test_penalty import OracleStepper, seq_dataset
 
@@ -40,31 +39,27 @@ class SeparableLogits(PrefixStepper):
 
 
 def separable_examples(rng, n=300, vocab=VOCAB, max_pos=3, margin=2.0):
-    examples = []
-    for _ in range(n):
+    logits = np.empty((n, vocab))
+    positions = np.empty(n, dtype=int)
+    targets = np.zeros((n, vocab))
+    for i in range(n):
         k = int(rng.integers(1, max_pos + 1))
         pos = rng.choice(vocab, size=k, replace=False)
-        logits = rng.uniform(0.0, 1.0, size=vocab)
-        logits[pos] += margin
-        targets = np.zeros(vocab, dtype=int)
-        targets[pos] = 1
-        examples.append(LambdaNetExample(
-            logits=tuple(logits.tolist()),
-            position=int(rng.integers(1, 4)),
-            targets=tuple(targets.tolist()),
-        ))
-    return examples
+        logits[i] = rng.uniform(0.0, 1.0, size=vocab)
+        logits[i, pos] += margin
+        targets[i, pos] = 1
+        positions[i] = rng.integers(1, 4)
+    return GateExamples(logits, positions, targets)
 
 
-def token_accuracy(net, examples):
-    hits = 0
-    total = 0
-    for ex in examples:
-        got = net.classify(np.asarray(ex.logits), ex.position)
-        for k, t in enumerate(ex.targets):
-            hits += int((k in got) == bool(t))
-            total += 1
-    return hits / total
+def subset(examples, idx):
+    return GateExamples(examples.logits[idx], examples.positions[idx], examples.targets[idx])
+
+
+def gate_batch(net, examples, pos_weight):
+    """The loss batch ``train_lambda_net`` forms from whole examples."""
+    weights = np.where(examples.targets > 0.5, pos_weight, 1.0)
+    return (*net._inputs(examples.logits, examples.positions), examples.targets, weights)
 
 
 # --- training-set construction ---------------------------------------------------
@@ -73,9 +68,9 @@ def token_accuracy(net, examples):
 def test_single_target_single_positive_per_position():
     ds = seq_dataset([["2"]], max_len=2)
     examples = build_lambda_training_set(OracleStepper(ds), ds)
-    by_pos = {e.position: e for e in examples}
-    assert sum(by_pos[1].targets) == 1
-    assert by_pos[1].targets[2] == 1
+    (first,) = np.flatnonzero(examples.positions == 1)
+    assert sum(examples.targets[first]) == 1
+    assert examples.targets[first, 2] == 1
 
 
 def test_positive_count_equals_target_length_for_single_target():
@@ -84,7 +79,7 @@ def test_positive_count_equals_target_length_for_single_target():
     examples = build_lambda_training_set(sep, ds)
     # one unbranched target: one positive at each of its 5 positions (incl end)
     assert len(examples) == 5
-    assert sum(sum(e.targets) for e in examples) == 5
+    assert np.sum(examples.targets) == 5
 
 
 def test_branching_targets_two_positives_at_branch_point():
@@ -93,18 +88,48 @@ def test_branching_targets_two_positives_at_branch_point():
     ds = Dataset(kind="sequences", samples=samples, universe=11, max_len=3,
                  input_vocab=10)
     examples = build_lambda_training_set(SeparableLogits(ds), ds)
-    at_two = [e for e in examples if e.position == 2]
+    at_two = examples.targets[examples.positions == 2]
     assert len(at_two) == 1
-    assert sum(at_two[0].targets) == 2
+    assert sum(at_two[0]) == 2
+
+
+def test_example_build_matches_per_prefix_reference():
+    ds = seq_dataset([["0551", "052"], ["3"], ["41", "4", "77"]], max_len=5)
+    sep = SeparableLogits(ds)
+    examples = build_lambda_training_set(sep, ds)
+    ref = SeparableLogits(ds)  # same seed, so the same noise in the same order
+    want = []
+    for sample in ds.samples:
+        for prefix, logits, nexts in prefix_nodes(ref, sample):
+            want.append((logits, len(prefix) + 1,
+                         [1.0 if k in nexts else 0.0 for k in range(ds.universe)]))
+    assert len(examples) == len(want)
+    for i, (logits, position, targets) in enumerate(want):
+        assert np.array_equal(examples.logits[i], logits)
+        assert examples.positions[i] == position
+        assert examples.targets[i].tolist() == targets
+
+
+def test_gate_examples_check_their_arrays():
+    logits = np.zeros((2, 3))
+    with pytest.raises(ValidationError, match="one target per token"):
+        GateExamples(logits, [1, 2], np.zeros((2, 4)))
+    with pytest.raises(ValidationError, match="one position per example"):
+        GateExamples(logits, [1], np.zeros((2, 3)))
+    with pytest.raises(ValidationError, match="1-based"):
+        GateExamples(logits, [0, 2], np.zeros((2, 3)))
+    with pytest.raises(ValidationError, match="0 or 1"):
+        GateExamples(logits, [1, 2], np.full((2, 3), 0.5))
 
 
 def test_label_training_set_targets_are_label_sets():
     ds = Dataset(kind="labels",
                  samples=(SetSample(x=(0.0, 1.0), y=(0, 2)),), universe=3, input_dim=2)
     model = LabelModel(2, 3, (4,), seed=0)
-    (ex,) = build_label_lambda_training_set(model, ds)
-    assert ex.targets == (1, 0, 1)
-    assert ex.position == 1
+    ex = build_label_lambda_training_set(model, ds)
+    assert ex.targets.tolist() == [[1, 0, 1]]
+    assert ex.positions.tolist() == [1]
+    assert np.array_equal(ex.logits, model.scores(np.array([[0.0, 1.0]])))
 
 
 # --- training ----------------------------------------------------------------------
@@ -114,10 +139,10 @@ def test_label_training_set_targets_are_label_sets():
 def test_separable_logits_reach_high_token_accuracy(variant):
     rng = np.random.default_rng(5)
     examples = separable_examples(rng, n=400)
-    train, held_out = examples[:320], examples[320:]
+    train, held_out = subset(examples, slice(320)), subset(examples, slice(320, None))
     cfg = TrainConfig(learning_rate=5e-3, batch_size=32, epochs=80, seed=1)
     net = train_lambda_net(train, variant, cfg, max_len=3)
-    assert token_accuracy(net, held_out) >= 0.99
+    assert gate_accuracy(net, held_out) >= 0.99
 
 
 def test_untrained_net_outputs_in_unit_interval():
@@ -138,11 +163,8 @@ def test_training_is_deterministic_under_seed():
 
 def test_single_class_input_is_rejected():
     rng = np.random.default_rng(7)
-    examples = [
-        LambdaNetExample(logits=tuple(rng.uniform(size=4)), position=1,
-                         targets=(0, 0, 0, 0))
-        for _ in range(10)
-    ]
+    examples = GateExamples(rng.uniform(size=(10, 4)), np.ones(10, dtype=int),
+                            np.zeros((10, 4)))
     with pytest.raises(TrainingError, match="single-class"):
         train_lambda_net(examples, "recurrent", TrainConfig(epochs=1, seed=0))
 
@@ -182,9 +204,10 @@ def test_converged_gate_reproduces_prefix_continuation():
     cfg = TrainConfig(learning_rate=5e-3, batch_size=32, epochs=60, seed=0)
     net = train_lambda_net(examples, "windowed", cfg, max_len=6)
     exact = 0
-    for ex in examples:
-        want = frozenset(k for k, t in enumerate(ex.targets) if t)
-        got = net.classify(np.asarray(ex.logits), ex.position)
+    for logits, position, targets in zip(examples.logits, examples.positions,
+                                         examples.targets):
+        want = frozenset(k for k, t in enumerate(targets) if t)
+        got = net.classify(logits, position)
         exact += int(got == want)
     assert exact / len(examples) >= 0.99
 
@@ -206,14 +229,7 @@ def test_gradient_check_gate(variant):
     rng = np.random.default_rng(9)
     examples = separable_examples(rng, n=3, vocab=5)
     net = LambdaNet(variant, 5, max_len=3, hidden=4, filters=3, dense=4, seed=1)
-    if variant == "recurrent":
-        feats, targets = _recurrent_arrays(examples, 3)
-        weights = np.where(targets > 0.5, 2.5, 1.0)
-        batch = (feats, targets, weights)
-    else:
-        wins, scals, targets = _windowed_arrays(examples, 3, net.radius)
-        weights = np.where(targets > 0.5, 2.5, 1.0)
-        batch = (wins, scals, targets, weights)
+    batch = gate_batch(net, examples, 2.5)
     assert gradient_check(net, batch, eps=1e-4) < 1e-4
 
 
@@ -231,28 +247,35 @@ def test_gate_checkpoint_round_trip(tmp_path):
 
 
 def _raw_scores(net, logits, position):
-    logits = np.asarray(logits, dtype=float)
-    if net.variant == "recurrent":
-        feats = _step_features(logits, position, net.max_len)[None, :, :]
-        return net._forward_recurrent(feats)[0][0]
-    windows, scalars = _window_features(logits, position, net.max_len, net.radius)
-    return net._forward_windowed(windows, scalars)[0]
+    inputs = net._inputs(np.asarray(logits, dtype=float)[None, :], np.array([position]))
+    return net._forward(*inputs)[0][0]
 
 
 @pytest.mark.parametrize("variant", ["recurrent", "windowed"])
 def test_scores_undo_the_class_weight_prior_shift(variant):
     rng = np.random.default_rng(10)
     examples = separable_examples(rng, n=40)
-    targets = np.asarray([e.targets for e in examples])
+    targets = examples.targets
     n_pos = targets.sum()
     cfg = TrainConfig(learning_rate=1e-3, batch_size=16, epochs=2, seed=0)
     net = train_lambda_net(examples, variant, cfg, max_len=3)
     assert net.pos_weight == (targets.size - n_pos) / n_pos
     assert net.pos_weight > 2.0
-    logits = np.asarray(examples[0].logits)
+    logits = examples.logits[0]
     raw = _raw_scores(net, logits, 2)
     want = 1.0 / (1.0 + np.exp(-(raw - np.log(net.pos_weight))))
     np.testing.assert_allclose(net.scores(logits, 2), want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("variant", ["recurrent", "windowed"])
+def test_batched_scores_equal_single_row_calls(variant):
+    rng = np.random.default_rng(14)
+    examples = separable_examples(rng, n=12)
+    net = LambdaNet(variant, VOCAB, max_len=3, hidden=5, seed=6)
+    batched = net.scores(examples.logits, examples.positions)
+    assert batched.shape == examples.logits.shape
+    for row, logits, position in zip(batched, examples.logits, examples.positions):
+        np.testing.assert_allclose(row, net.scores(logits, position), rtol=1e-12, atol=0)
 
 
 def test_checkpoint_without_pos_weight_loads_unweighted():
@@ -285,8 +308,19 @@ def test_window_features_match_loop_reference(radius):
     vectors = [rng.normal(size=VOCAB), rng.integers(0, 3, size=VOCAB).astype(float),
                np.zeros(VOCAB), rng.normal(size=3)]
     for logits in vectors:
-        windows, _ = _window_features(logits, 2, 4, radius)
-        assert np.array_equal(windows, _loop_windows(logits, radius))
+        windows, _ = _features(logits[None, :], np.array([2]), 4, radius)
+        assert np.array_equal(windows[0], _loop_windows(logits, radius))
+    # Stacked rows: random, tied and all-equal rows together, and V=3 rows.
+    stacks = [
+        np.concatenate([rng.normal(size=(6, VOCAB)),
+                        rng.integers(0, 3, size=(6, VOCAB)).astype(float),
+                        np.zeros((2, VOCAB)), np.full((2, VOCAB), 1.5)]),
+        rng.normal(size=(5, 3)),
+    ]
+    for stack in stacks:
+        windows, _ = _features(stack, np.arange(1, len(stack) + 1), 16, radius)
+        for row, got in zip(stack, windows):
+            assert np.array_equal(got, _loop_windows(row, radius))
 
 
 def test_maxpool_matches_take_along_axis_reference():
@@ -315,21 +349,16 @@ def test_both_gates_batch_whole_examples(variant, monkeypatch):
 
     monkeypatch.setattr(LambdaNet, "loss_and_grads", spy)
     cfg = TrainConfig(learning_rate=1e-3, batch_size=k, epochs=epochs, seed=0)
-    train_lambda_net(examples, variant, cfg, max_len=3)
+    net = train_lambda_net(examples, variant, cfg, max_len=3)
     assert len(batches) == epochs * math.ceil(n / k)
-    if variant == "recurrent":
-        return
-    blocks = {}
-    for i, e in enumerate(examples):
-        w, s = _window_features(np.asarray(e.logits), e.position, 3, 2)
-        blocks[(w.tobytes(), s.tobytes(), np.asarray(e.targets, dtype=float).tobytes())] = i
+    # Every batch array holds whole examples: one (V, ...) block per example.
+    whole = gate_batch(net, examples, net.pos_weight)[:-1]
+    blocks = {tuple(a[i].tobytes() for a in whole): i for i in range(n)}
     per_epoch = math.ceil(n / k)
     for epoch in range(epochs):
         seen = []
-        for wins, scals, targets, _ in batches[epoch * per_epoch:(epoch + 1) * per_epoch]:
-            assert wins.shape[0] % VOCAB == 0 and wins.shape[0] <= k * VOCAB
-            for r in range(0, wins.shape[0], VOCAB):
-                key = (wins[r:r + VOCAB].tobytes(), scals[r:r + VOCAB].tobytes(),
-                       targets[r:r + VOCAB].tobytes())
-                seen.append(blocks[key])
+        for *arrays, _ in batches[epoch * per_epoch:(epoch + 1) * per_epoch]:
+            assert arrays[0].shape[1] == VOCAB and arrays[0].shape[0] <= k
+            for r in range(arrays[0].shape[0]):
+                seen.append(blocks[tuple(a[r].tobytes() for a in arrays)])
         assert sorted(seen) == list(range(n))
