@@ -152,15 +152,16 @@ class RunArtifacts:
     baseline_model: object = None
     gate: LambdaNet | None = None
     penalty: PenaltyParams | None = None
+    gate_examples: tuple | None = None  # the gate's (train, holdout) GateExamples
     report: dict | None = None
 
 
 def train_run(cfg: RunConfig, dataset: Dataset | None = None, out: str | None = None,
-              base_model=None) -> RunArtifacts:
+              base_model=None, gate_examples=None) -> RunArtifacts:
     """Train the base model and calibrate the configured penalty variant.
 
     A ``base_model`` passed in (already trained on this config's split) is
-    reused instead of fitted, and the report says so.
+    reused instead of fitted, and the report says so; so are ``gate_examples``.
     """
     dataset = dataset if dataset is not None else _build_dataset(cfg)
     train_ds, test_ds = tasks.split_train_test(dataset, cfg.split, cfg.seed)
@@ -195,7 +196,8 @@ def train_run(cfg: RunConfig, dataset: Dataset | None = None, out: str | None = 
             art.penalty = replace(solve_lambda_per_position(art.base_model, train_ds),
                                   model_hash=model_hash)
         else:
-            art.gate = _fit_gate(cfg, art.base_model, train_ds, report)
+            art.gate, art.gate_examples = _fit_gate(cfg, art.base_model, train_ds, report,
+                                                    gate_examples)
             art.penalty = PenaltyParams(
                 variant="learned", classifier=art.gate, model_hash=model_hash,
                 classifier_ref="gate.json" if out else None,  # where _persist_run saves it
@@ -222,28 +224,32 @@ def _gate_variant(cfg: RunConfig) -> str:
     return "recurrent" if cfg.variant == "learned-recurrent" else "windowed"
 
 
-def _fit_gate(cfg: RunConfig, model, train_ds: Dataset, report: dict) -> LambdaNet:
+def _fit_gate(cfg: RunConfig, model, train_ds: Dataset, report: dict,
+              examples: tuple | None = None) -> tuple[LambdaNet, tuple]:
     """Train on the first 90% of samples; hold out the rest whole.
 
     The split is by sample, not by example, so no sample has prefixes on
-    both sides of it.  A split too small to hold any sample out reports no
-    validation accuracy.
+    both sides of it.  The (train, holdout) ``examples`` are built unless
+    passed in and are returned with the gate; a split too small to hold any
+    sample out reports no validation accuracy.
     """
     if train_ds.kind == "labels":
         build_examples, max_len = build_label_lambda_training_set, 1
     else:
         build_examples, max_len = build_lambda_training_set, train_ds.max_len
-    cut = max(1, int(round(0.9 * len(train_ds))))
-    examples = build_examples(model, replace(train_ds, samples=train_ds.samples[:cut]))
+    if examples is None:
+        cut = max(1, int(round(0.9 * len(train_ds))))
+        examples = (build_examples(model, replace(train_ds, samples=train_ds.samples[:cut])),
+                    build_examples(model, replace(train_ds, samples=train_ds.samples[cut:])))
+    train, holdout = examples
     gate = train_lambda_net(
-        examples, _gate_variant(cfg), _train_cfg(cfg, cfg.effective_gate_epochs, 1),
+        train, _gate_variant(cfg), _train_cfg(cfg, cfg.effective_gate_epochs, 1),
         max_len=max_len, threshold=cfg.threshold, hidden=cfg.gate_hidden,
         filters=cfg.gate_filters, dense=cfg.gate_dense,
     )
-    holdout = build_examples(model, replace(train_ds, samples=train_ds.samples[cut:]))
     report["gate_train_losses"] = gate.train_losses
     report["gate_validation_accuracy"] = gate_accuracy(gate, holdout)
-    return gate
+    return gate, examples
 
 
 def _persist_run(art: RunArtifacts, out: str) -> None:
@@ -410,14 +416,15 @@ def reproduce(task: str, out: str, n: int = 1000, seed: int = 7, epochs: int | N
     scores: dict[str, float] = {}
     reports: dict[str, dict] = {}
     dataset: Dataset | None = None
-    base_model = None
+    base_model = gate_examples = None
     metric = task_metric(task)
     for variant in REPRODUCE_VARIANTS[task]:
         cfg = RunConfig(task=task, variant=variant, n=n, seed=seed, epochs=epochs, data=data)
         t0 = time.perf_counter()
         variant_dir = os.path.join(out, variant)
-        art = train_run(cfg, dataset=dataset, out=variant_dir, base_model=base_model)
-        dataset = art.dataset
+        art = train_run(cfg, dataset=dataset, out=variant_dir, base_model=base_model,
+                        gate_examples=gate_examples)
+        dataset, gate_examples = art.dataset, art.gate_examples or gate_examples
         if art.base_model is not None:  # the baseline trains no base model
             base_model = art.base_model
         report = eval_run(art, out=variant_dir)

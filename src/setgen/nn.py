@@ -26,14 +26,14 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = z - np.max(z, axis=axis, keepdims=True)
+    shifted = z - z.max(axis=axis, keepdims=True)
     ez = np.exp(shifted)
-    return ez / np.sum(ez, axis=axis, keepdims=True)
+    return ez / ez.sum(axis=axis, keepdims=True)
 
 
 def log_softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = z - np.max(z, axis=axis, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+    shifted = z - z.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
 def cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
@@ -43,7 +43,7 @@ def cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.nd
     """
     n = logits.shape[0]
     logp = log_softmax(logits, axis=1)
-    loss = -float(np.mean(logp[np.arange(n), targets]))
+    loss = -float(logp[np.arange(n), targets].mean())
     dlogits = softmax(logits, axis=1)
     dlogits[np.arange(n), targets] -= 1.0
     return loss, dlogits / n
@@ -56,8 +56,8 @@ def binary_cross_entropy(scores: np.ndarray, targets: np.ndarray,
     p = np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
     w = np.ones_like(p) if weights is None else weights
     per = -(targets * np.log(p) + (1.0 - targets) * np.log(1.0 - p))
-    denom = float(np.sum(w))
-    loss = float(np.sum(w * per)) / denom
+    denom = float(w.sum())
+    loss = float((w * per).sum()) / denom
     dscores = w * (p - targets) / denom
     return loss, dscores
 
@@ -71,7 +71,7 @@ def dense_forward(x: np.ndarray, W: np.ndarray, b: np.ndarray):
 
 def dense_backward(dout: np.ndarray, cache):
     x, W = cache
-    return dout @ W.T, x.T @ dout, np.sum(dout, axis=0)
+    return dout @ W.T, x.T @ dout, dout.sum(axis=0)
 
 
 def tanh_forward(z: np.ndarray):
@@ -225,44 +225,48 @@ def maxpool_backward(dout: np.ndarray, cache):
 
 
 class Adam:
-    """Adaptive-moment estimation with bias correction, updating in place.
+    """Adaptive-moment estimation with bias correction over one flat buffer.
 
-    Each parameter keeps its moments and two scratch arrays, so a step
-    allocates nothing; the operations keep the association of
+    Construction copies the parameters into one contiguous float64 buffer
+    and rebinds each ``params[name]`` to a same-shaped view of its slot, so
+    the model and the optimizer share memory.  A step copies each gradient
+    into its slot of a second buffer, then updates the whole buffer with
+    in-place operations that allocate nothing and keep the association of
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
     ``p -= (lr*m_hat) / (sqrt(v_hat) + eps)``.
     """
 
     def __init__(self, params: dict[str, np.ndarray], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.params = params
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
-        self._scratch = {k: (np.empty_like(v), np.empty_like(v)) for k, v in params.items()}
+        self._p = np.concatenate([v.ravel() for v in params.values()], dtype=float)
+        self._g, self._a, self._b, self.m, self.v = (np.zeros_like(self._p) for _ in range(5))
+        cuts = np.cumsum([v.size for v in params.values()])[:-1]
+        self._grad_slots = {}
+        for (name, value), p, g in zip(list(params.items()), np.split(self._p, cuts),
+                                       np.split(self._g, cuts)):
+            params[name] = p.reshape(value.shape)
+            self._grad_slots[name] = g.reshape(value.shape)
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
+        for name, slot in self._grad_slots.items():
+            np.copyto(slot, grads[name])
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for name, p in self.params.items():
-            g, m, v = grads[name], self.m[name], self.v[name]
-            a, b = self._scratch[name]
-            m *= self.beta1
-            np.multiply(g, 1.0 - self.beta1, out=a)
-            m += a
-            v *= self.beta2
-            np.multiply(g, 1.0 - self.beta2, out=a)
-            a *= g
-            v += a
-            np.divide(v, b2t, out=b)
-            np.sqrt(b, out=b)
-            b += self.eps
-            np.divide(m, b1t, out=a)
-            a *= self.lr
-            a /= b
-            p -= a
+        p, g, m, v, a, b = self._p, self._g, self.m, self.v, self._a, self._b
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=a)
+        m += a
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=a)
+        a *= g
+        v += a
+        np.divide(v, b2t, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        np.divide(m, b1t, out=a)
+        a *= self.lr
+        a /= b
+        p -= a

@@ -234,6 +234,15 @@ def test_reproduce_task2_reports_baseline_not_applicable(tmp_path, capsys):
     assert "multi-label" not in doc["columns"]
 
 
+def test_reproduce_builds_gate_examples_once(tmp_path, monkeypatch):
+    calls = []
+    build = cli.build_lambda_training_set
+    monkeypatch.setattr(cli, "build_lambda_training_set",
+                        lambda *a, **kw: calls.append(1) or build(*a, **kw))
+    reproduce("task2", str(tmp_path / "rep"), n=40, seed=5, epochs=2)
+    assert len(calls) == 2  # train and holdout, shared by both learned variants
+
+
 @pytest.mark.parametrize("flag, seed", [(["--seed", "0"], 0), ([], 7)])
 def test_reproduce_cli_passes_seed_through(tmp_path, monkeypatch, flag, seed):
     calls = []

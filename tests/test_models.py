@@ -18,7 +18,7 @@ from setgen.models import (
     train_multilabel_baseline,
     train_sequence_model,
 )
-from setgen.lambda_net import LambdaNet
+from setgen.lambda_net import GateExamples, LambdaNet, train_lambda_net
 from tests.conftest import greedy_decode
 
 
@@ -147,6 +147,116 @@ def test_adam_in_place_step_matches_textbook_update():
             ref[k] = ref[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
         for k in shapes:
             assert np.array_equal(params[k], ref[k]), (t, k)
+
+
+class PerParameterAdam:
+    """Textbook Adam, one parameter array at a time, in the library's association order."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params, self.lr, self.beta1, self.beta2, self.eps = params, lr, beta1, beta2, eps
+        self.t = 0
+        self.m = {k: np.zeros_like(p) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p) for k, p in params.items()}
+
+    def step(self, grads):
+        self.t += 1
+        for k, p in self.params.items():
+            g = grads[k]
+            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
+            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
+            m_hat = self.m[k] / (1.0 - self.beta1 ** self.t)
+            v_hat = self.v[k] / (1.0 - self.beta2 ** self.t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def _label_pairs(n=40, n_labels=4):
+    rng = np.random.default_rng(21)
+    return [FlatPair(x=tuple(rng.normal(size=3).tolist()), y_elem=int(rng.integers(n_labels)),
+                     group_id=i) for i in range(n)]
+
+
+def _gate_examples(n=24, vocab=5):
+    rng = np.random.default_rng(22)
+    targets = (rng.uniform(size=(n, vocab)) < 0.3).astype(float)
+    targets[0] = 0.0
+    targets[0, 0] = 1.0  # both classes present
+    return GateExamples(rng.normal(size=(n, vocab)), rng.integers(1, 4, size=n), targets)
+
+
+def _fit_sequence_model():
+    flat = [FlatPair(x=(1, 2), y_elem=(3, 10), group_id=0),
+            FlatPair(x=(4,), y_elem=(5, 6, 10), group_id=1),
+            FlatPair(x=(7, 8, 9), y_elem=(10,), group_id=2)]
+    cfg = TrainConfig(learning_rate=1e-2, batch_size=2, epochs=6, seed=11)
+    return train_sequence_model(flat, cfg, input_vocab=10, vocab=11, max_len=3,
+                                embed_dim=6, enc_hidden=5, dec_hidden=7)
+
+
+FAMILY_FITS = {
+    "label": lambda: train_label_model(
+        _label_pairs(), TrainConfig(learning_rate=1e-2, batch_size=7, epochs=5, seed=9,
+                                    hidden_sizes=(5,)), n_labels=4),
+    "baseline": lambda: train_multilabel_baseline(
+        Dataset(kind="labels", universe=4, input_dim=3, samples=tuple(
+            SetSample(x=p.x, y=tuple(sorted({p.y_elem, (p.y_elem + 1) % 4})))
+            for p in _label_pairs())),
+        TrainConfig(learning_rate=1e-2, batch_size=7, epochs=5, seed=9, hidden_sizes=(5,))),
+    "sequence": _fit_sequence_model,
+    "gate-recurrent": lambda: train_lambda_net(
+        _gate_examples(), "recurrent", TrainConfig(learning_rate=1e-2, batch_size=8, epochs=4,
+                                                   seed=3), max_len=3, hidden=4),
+    "gate-windowed": lambda: train_lambda_net(
+        _gate_examples(), "windowed", TrainConfig(learning_rate=1e-2, batch_size=8, epochs=4,
+                                                  seed=3), max_len=3, filters=3, dense=4),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_FITS))
+def test_fit_is_bit_identical_to_per_parameter_adam(family, monkeypatch):
+    flat = FAMILY_FITS[family]()
+    monkeypatch.setattr(nn, "Adam", PerParameterAdam)
+    ref = FAMILY_FITS[family]()
+    assert list(flat.params) == list(ref.params)
+    for k in ref.params:
+        assert np.array_equal(flat.params[k], ref.params[k]), k
+    assert np.array_equal(flat.train_losses, ref.train_losses)
+
+
+def test_adam_keeps_params_and_sees_in_place_writes():
+    rng = np.random.default_rng(12)
+    shapes = {"W": (3, 2), "b": (2,), "scalar": (), "single": (1,)}
+    params = {k: rng.normal(size=s) for k, s in shapes.items()}
+    ref = {k: v.copy() for k, v in params.items()}
+    opt, ref_opt = nn.Adam(params, 1e-2), PerParameterAdam(ref, 1e-2)
+    assert list(params) == list(shapes)
+    for k, s in shapes.items():
+        assert params[k].shape == s
+        assert np.array_equal(params[k], ref[k])
+    for t in range(3):
+        grads = {k: rng.normal(size=s) for k, s in shapes.items()}
+        opt.step(grads)
+        ref_opt.step(grads)
+        # a write through the dict must reach the optimizer's next step
+        params["W"][0] = t
+        ref["W"][0] = t
+        params["scalar"][...] = -t
+        ref["scalar"][...] = -t
+    opt.step(grads)
+    ref_opt.step(grads)
+    for k in shapes:
+        assert np.array_equal(params[k], ref[k]), k
+
+
+def test_checkpoint_round_trip_after_fit(tmp_path):
+    m = _fit_sequence_model()
+    path = tmp_path / "fitted.json"
+    save_checkpoint(m, str(path))
+    back = load_checkpoint(str(path))
+    assert list(back.params) == list(m.params)
+    for k in m.params:
+        assert np.array_equal(back.params[k], m.params[k]), k
+    assert np.array_equal(m.step_posterior((1, 2), (3,)), back.step_posterior((1, 2), (3,)))
+    assert checkpoint_hash(m.checkpoint()) == checkpoint_hash(back.checkpoint())
 
 
 # --- multi-label baseline -------------------------------------------------------
