@@ -17,7 +17,6 @@ from .core import (
     ValidationError,
     TrainingError,
     flatten,
-    group_by_input,
     load_dataset,
     save_dataset,
     seq_from_str,

@@ -24,8 +24,16 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import __version__, metrics, tasks
-from .core import Dataset, TrainingError, ValidationError, flatten, load_dataset, save_dataset
-from .decoder import content_hash, decode_sequence_set, decode_set, verify_penalty_binding
+from .core import (
+    Dataset,
+    TrainingError,
+    ValidationError,
+    flatten,
+    load_dataset,
+    save_dataset,
+    seq_to_str,
+)
+from .decoder import decode_sequence_set, decode_set, verify_penalty_binding
 from .lambda_net import (
     LambdaNet,
     build_label_lambda_training_set,
@@ -35,6 +43,7 @@ from .lambda_net import (
 )
 from .models import (
     TrainConfig,
+    content_hash,
     load_checkpoint,
     save_checkpoint,
     train_label_model,
@@ -45,6 +54,7 @@ from .penalty import PenaltyParams, margin_stats, solve_lambda, solve_lambda_per
 
 VARIANTS = ("scalar", "per-position", "learned-recurrent", "learned-windowed", "baseline")
 TASKS = ("threshold", "task1", "task2", "multilabel-file")
+GATE_FILE = "gate.json"  # the learned penalty's classifier, beside penalty.json
 
 
 @dataclass(frozen=True)
@@ -150,7 +160,6 @@ class RunArtifacts:
     test_split: Dataset
     base_model: object = None
     baseline_model: object = None
-    gate: LambdaNet | None = None
     penalty: PenaltyParams | None = None
     gate_examples: tuple | None = None  # the gate's (train, holdout) GateExamples
     report: dict | None = None
@@ -196,11 +205,11 @@ def train_run(cfg: RunConfig, dataset: Dataset | None = None, out: str | None = 
             art.penalty = replace(solve_lambda_per_position(art.base_model, train_ds),
                                   model_hash=model_hash)
         else:
-            art.gate, art.gate_examples = _fit_gate(cfg, art.base_model, train_ds, report,
-                                                    gate_examples)
+            gate, art.gate_examples = _fit_gate(cfg, art.base_model, train_ds, report,
+                                                gate_examples)
             art.penalty = PenaltyParams(
-                variant="learned", classifier=art.gate, model_hash=model_hash,
-                classifier_ref="gate.json" if out else None,  # where _persist_run saves it
+                variant="learned", classifier=gate, model_hash=model_hash,
+                classifier_ref=GATE_FILE if out else None,  # where _persist_run saves it
             )
         report["penalty"] = art.penalty.to_dict()
     art.report = report
@@ -264,20 +273,32 @@ def _persist_run(art: RunArtifacts, out: str) -> None:
         save_checkpoint(art.base_model, os.path.join(out, "model.json"))
     if art.baseline_model is not None:
         save_checkpoint(art.baseline_model, os.path.join(out, "baseline.json"))
-    if art.gate is not None:
-        save_checkpoint(art.gate, os.path.join(out, "gate.json"))
     if art.penalty is not None:
+        if art.penalty.classifier is not None:
+            save_checkpoint(art.penalty.classifier, os.path.join(out, GATE_FILE))
         _write_json(os.path.join(out, "penalty.json"), art.penalty.to_dict())
     _write_json(os.path.join(out, "train_report.json"), art.report)
 
 
-def load_run(run_dir: str) -> RunArtifacts:
-    """Rehydrate checkpoints written by ``train_run``."""
-    with open(os.path.join(run_dir, "config.json"), "r", encoding="utf-8") as fh:
-        doc = json.load(fh)["config"]
-    # Drop keys that older versions wrote and RunConfig no longer has (the
+def _read_run_file(path: str, parse):
+    """``parse`` applied to a run file's JSON; a malformed file is refused by path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return parse(json.load(fh))
+        except (KeyError, TypeError, ValueError) as exc:  # bad JSON is a ValueError
+            raise ValidationError(f"{path}: malformed ({type(exc).__name__}: {exc})") from exc
+
+
+def _run_config(doc) -> RunConfig:
+    # Skip keys that older versions wrote and RunConfig no longer has (the
     # eval thread count), so their run directories still load.
-    cfg = RunConfig(**{k: v for k, v in doc.items() if k in RunConfig.__dataclass_fields__})
+    saved = doc["config"]
+    return RunConfig(**{k: saved[k] for k in RunConfig.__dataclass_fields__ if k in saved})
+
+
+def load_run(run_dir: str) -> RunArtifacts:
+    """Rehydrate checkpoints written by ``train_run``; refuses malformed files."""
+    cfg = _read_run_file(os.path.join(run_dir, "config.json"), _run_config)
     dataset = load_dataset(os.path.join(run_dir, "dataset.jsonl"))
     train_ds, test_ds = tasks.split_train_test(dataset, cfg.split, cfg.seed)
     art = RunArtifacts(cfg=cfg, dataset=dataset, train_split=train_ds, test_split=test_ds)
@@ -289,12 +310,10 @@ def load_run(run_dir: str) -> RunArtifacts:
         art.baseline_model = load_checkpoint(baseline_path)
     penalty_path = os.path.join(run_dir, "penalty.json")
     if os.path.exists(penalty_path):
-        with open(penalty_path, "r", encoding="utf-8") as fh:
-            art.penalty = PenaltyParams.from_dict(json.load(fh))
-        gate_path = os.path.join(run_dir, "gate.json")
+        art.penalty = _read_run_file(penalty_path, PenaltyParams.from_dict)
+        gate_path = os.path.join(run_dir, GATE_FILE)
         if os.path.exists(gate_path):
-            art.gate = load_checkpoint(gate_path)
-            art.penalty.classifier = art.gate
+            art.penalty.classifier = load_checkpoint(gate_path)
     return art
 
 
@@ -302,44 +321,39 @@ def load_run(run_dir: str) -> RunArtifacts:
 
 
 def _predict_sample(art: RunArtifacts, sample):
-    """Decode one sample into (predicted set of hashables, report dict)."""
+    """Decode one sample into (predicted set of hashables, iterations, repeats, truncated)."""
     cfg = art.cfg
+    sequences = art.dataset.kind == "sequences"
     if cfg.variant == "baseline":
-        if art.dataset.kind == "sequences":  # task1 via the label view
-            x = tasks.featurize_digits(sample.x, 10)
-        else:
-            x = sample.x
+        x = tasks.featurize_digits(sample.x, 10) if sequences else sample.x  # task1: label view
         pred = art.baseline_model.predict_set(x)
-        if art.dataset.kind == "sequences":
+        if sequences:
             pred = frozenset((int(d),) for d in pred)
-        return pred, {"x": _x_repr(sample.x), "predicted": sorted(map(_el_repr, pred)),
-                      "iterations": 1, "truncated": False, "repeats": 0}
-    if art.dataset.kind == "labels":
+        return pred, 1, 0, False
+    if not sequences:
         if cfg.variant == "scalar":
             res = decode_set(art.base_model, art.penalty.value, sample.x, rho=cfg.rho)
-            return res.label_set, res.to_report(sample.x)
+            return res.label_set, res.iterations, res.repeats, res.truncated
         logits = art.base_model.scores(np.asarray(sample.x, dtype=float)[None, :])[0]
-        pred = art.gate.classify(logits, 1)
-        return pred, {"x": _x_repr(sample.x), "predicted": sorted(pred),
-                      "iterations": 1, "truncated": False, "repeats": 0}
+        return art.penalty.classifier.classify(logits, 1), 1, 0, False
     res = decode_sequence_set(
         art.base_model, art.penalty, sample.x,
         rho=cfg.rho, max_branches=cfg.max_branches,
     )
     content = frozenset(seq[:-1] for seq in res.sequences)
-    return content, res.to_report(sample.x)
+    return content, res.iterations, res.repeats, res.truncated
 
 
-def _x_repr(x):
-    if isinstance(x, tuple) and x and isinstance(x[0], int):
-        return "".join(str(t) for t in x)
-    return list(x)
-
-
-def _el_repr(el):
-    if isinstance(el, tuple):
-        return "".join(str(t) for t in el)
-    return el
+def _sample_report(x, pred, iterations: int, repeats: int, truncated: bool) -> dict:
+    """One line of decode_report.jsonl; token sequences are written as digit strings."""
+    tokens = bool(x) and isinstance(x[0], int)
+    return {
+        "x": seq_to_str(x) if tokens else list(x),
+        "predicted": sorted(seq_to_str(e) if isinstance(e, tuple) else e for e in pred),
+        "iterations": iterations,
+        "truncated": truncated,
+        "repeats": repeats,
+    }
 
 
 def task_metric(task: str) -> str:
@@ -356,12 +370,11 @@ def eval_run(art: RunArtifacts, out: str | None = None,
         verify_penalty_binding(art.base_model, art.penalty)
     results = [_predict_sample(art, s) for s in ds.samples]
     preds = [r[0] for r in results]
-    reports = [r[1] for r in results]
     if ds.kind == "labels":
         truths = [s.y_set for s in ds.samples]
     else:
         truths = [frozenset(seq[:-1] for seq in s.y) for s in ds.samples]
-    n_truncated = sum(1 for r in reports if r.get("truncated"))
+    n_truncated = sum(1 for r in results if r[3])
     report = metrics.evaluate(preds, truths, metric, n_truncated=n_truncated)
     if out:
         out = _fresh_dir(out, marker="eval_report.json")
@@ -372,8 +385,8 @@ def eval_run(art: RunArtifacts, out: str | None = None,
         doc["task"] = cfg.task
         _write_json(os.path.join(out, "eval_report.json"), doc)
         with open(os.path.join(out, "decode_report.jsonl"), "w", encoding="utf-8") as fh:
-            for r in reports:
-                fh.write(json.dumps(r, sort_keys=True) + "\n")
+            for sample, r in zip(ds.samples, results):
+                fh.write(json.dumps(_sample_report(sample.x, *r), sort_keys=True) + "\n")
         with open(os.path.join(out, "summary.csv"), "w", encoding="utf-8", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["task", "variant", "metric", "aggregate", "exact_match_rate", "n"])

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 TokenSeq = tuple[int, ...]
 Input = Union[tuple[float, ...], tuple[int, ...], str]
@@ -152,35 +152,6 @@ def flatten(dataset: Dataset) -> list[FlatPair]:
     return pairs
 
 
-@dataclass(frozen=True)
-class Group:
-    """Positive set for one sample, with the universe complement when known."""
-
-    x: Input
-    positives: frozenset
-    negatives: frozenset | None
-
-
-def group_by_input(flat: Iterable[FlatPair], universe: int | None = None) -> dict[int, Group]:
-    """Regroup flattened pairs by originating sample.
-
-    For label tasks pass ``universe`` to obtain each group's negative set as
-    the universe complement.  For sequence tasks negatives are defined per
-    output position (see ``penalty.position_candidates``) and stay ``None``.
-    """
-    by_gid: dict[int, list[FlatPair]] = {}
-    for pair in flat:
-        by_gid.setdefault(pair.group_id, []).append(pair)
-    groups: dict[int, Group] = {}
-    for gid, pairs in by_gid.items():
-        positives = frozenset(p.y_elem for p in pairs)
-        negatives = None
-        if universe is not None:
-            negatives = frozenset(range(universe)) - positives
-        groups[gid] = Group(x=pairs[0].x, positives=positives, negatives=negatives)
-    return groups
-
-
 # --- dataset file format -----------------------------------------------------
 #
 # One JSON object per line.  Header line first:
@@ -211,34 +182,35 @@ def save_dataset(dataset: Dataset, path: str) -> None:
 
 
 def load_dataset(path: str) -> Dataset:
-    """Read a dataset written by :func:`save_dataset`."""
+    """Read a dataset written by :func:`save_dataset`; refuses a malformed file."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     if not lines:
         raise ValidationError(f"{path}: empty dataset file")
-    header = json.loads(lines[0])
-    kind = header.get("kind")
-    universe = int(header.get("universe", 0))
-    max_len = int(header.get("max_len", 0))
+    try:  # a JSON syntax error is a ValueError too
+        header = dict(json.loads(lines[0]))
+        kind = header.get("kind")
+        universe = int(header.get("universe", 0))
+        max_len = int(header.get("max_len", 0))
+        input_vocab = int(header.get("input_vocab", 10)) if kind == "sequences" else 0
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"{path}:1: malformed header ({type(exc).__name__}: {exc})") from exc
     samples = []
     for lineno, ln in enumerate(lines[1:], start=2):
         try:
             row = json.loads(ln)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}:{lineno}: bad JSON ({exc})") from exc
-        if kind == "labels":
-            x = tuple(float(v) for v in row["x"])
-            y = tuple(int(v) for v in row["y"])
-        else:
-            x = tuple(int(ch) for ch in row["x"])
-            y = tuple(seq_from_str(s, universe) for s in row["y"])
+            if kind == "labels":
+                x = tuple(float(v) for v in row["x"])
+                y = tuple(int(v) for v in row["y"])
+            else:
+                x = tuple(int(ch) for ch in row["x"])
+                y = tuple(seq_from_str(s, universe) for s in row["y"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"{path}:{lineno}: malformed sample ({type(exc).__name__}: {exc})") from exc
         samples.append(SetSample(x=x, y=y))
-    input_dim = 0
-    input_vocab = 0
-    if kind == "labels":
-        input_dim = len(samples[0].x) if samples else 0
-    else:
-        input_vocab = int(header.get("input_vocab", 10))
+    input_dim = len(samples[0].x) if kind == "labels" and samples else 0
     return Dataset(
         kind=kind,
         samples=tuple(samples),

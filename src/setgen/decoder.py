@@ -21,7 +21,7 @@ import numpy as np
 
 from . import nn
 from .core import TokenSeq, ValidationError
-from .models import checkpoint_hash
+from .models import content_hash
 from .penalty import PenaltyParams
 
 GATHER_CAP_FACTOR = 4  # iteration cap: 4x the number of candidates
@@ -94,15 +94,6 @@ class DecodeResult:
     def label_set(self) -> frozenset[int]:
         return frozenset(self.labels)
 
-    def to_report(self, x) -> dict:
-        return {
-            "x": list(x) if isinstance(x, (tuple, list)) else x,
-            "predicted": sorted(self.labels),
-            "iterations": self.iterations,
-            "truncated": self.truncated,
-            "repeats": self.repeats,
-        }
-
 
 def decode_set(model, lam: float, x, rho: float = 0.0,
                max_iters: int | None = None) -> DecodeResult:
@@ -135,15 +126,6 @@ class SequenceDecodeResult:
     dead_ends: int
     dropped_branches: int
 
-    def to_report(self, x) -> dict:
-        return {
-            "x": "".join(str(t) for t in x),
-            "predicted": sorted("".join(str(t) for t in seq[:-1]) for seq in self.sequences),
-            "iterations": self.iterations,
-            "truncated": self.truncated,
-            "repeats": self.repeats,
-        }
-
 
 def verify_penalty_binding(model, penalty: PenaltyParams) -> None:
     """Refuse to decode with a penalty calibrated against a different model."""
@@ -157,33 +139,23 @@ def verify_penalty_binding(model, penalty: PenaltyParams) -> None:
         )
 
 
-def content_hash(model) -> str:
-    """Checkpoint hash of a model, cached on the instance."""
-    cached = getattr(model, "_content_hash", None)
-    if cached is None:
-        cached = checkpoint_hash(model.checkpoint())
-        model._content_hash = cached
-    return cached
-
-
-def decode_sequence_set(model, penalty: PenaltyParams, x,
-                        max_len: int | None = None, rho: float = 0.0,
+def decode_sequence_set(model, penalty: PenaltyParams, x, rho: float = 0.0,
                         max_branches: int = 1024) -> SequenceDecodeResult:
     """Breadth-wise set-of-sequences decode.
 
     ``penalty`` must be per-position (each branch runs the penalized-argmax
     gather with that position's value and a fresh memory) or learned (the
-    gate classifies each token directly).  Branches that reach ``max_len``
-    without the end token are discarded and flagged; the live frontier is
-    capped at ``max_branches`` to keep miscalibrated penalties from expanding
-    exponentially.
+    gate classifies each token directly).  Branches that reach the model's
+    ``max_len`` without the end token are discarded and flagged; the live
+    frontier is capped at ``max_branches`` to keep miscalibrated penalties
+    from expanding exponentially.
     """
     if penalty.variant == "scalar":
         raise ValidationError("sequence decoding needs a per-position or learned penalty")
     if penalty.variant == "learned" and penalty.classifier is None:
         raise ValidationError("learned penalty has no classifier attached")
     verify_penalty_binding(model, penalty)
-    max_len = max_len or model.max_len
+    max_len = model.max_len
     eos = model.eos
     h, c = model.encode(x)
     logits0, h, c = model.decode_step(h, c, model.start)

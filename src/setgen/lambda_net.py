@@ -28,7 +28,7 @@ import numpy as np
 
 from . import nn
 from .core import Dataset, TokenSeq, TrainingError, ValidationError
-from .models import TrainConfig, _params_from_checkpoint, _run_epochs, _to_checkpoint
+from .models import TrainConfig, _run_epochs
 from .penalty import prefix_nodes
 
 log = logging.getLogger(__name__)
@@ -148,6 +148,12 @@ class LambdaNet:
     def family(self) -> str:
         return f"lambda-{self.variant}"
 
+    def arch(self) -> dict:
+        """Constructor keywords; a checkpoint without ``pos_weight`` loads unweighted."""
+        return {k: getattr(self, k) for k in ("variant", "vocab", "max_len", "hidden", "filters",
+                                              "kernel", "dense", "radius", "threshold",
+                                              "pos_weight")}
+
     # -- forward ------------------------------------------------------------
 
     def _forward_recurrent(self, feats: np.ndarray):
@@ -265,34 +271,6 @@ class LambdaNet:
         del prefix  # part of the decoder's classifier protocol; the gate reads scores only
         probs = self.scores(logits, position)
         return frozenset(int(k) for k in np.flatnonzero(probs >= self.threshold))
-
-    # -- checkpoints ------------------------------------------------------------
-
-    def checkpoint(self) -> dict:
-        arch = {
-            "variant": self.variant,
-            "vocab": self.vocab,
-            "max_len": self.max_len,
-            "hidden": self.hidden,
-            "filters": self.filters,
-            "kernel": self.kernel,
-            "dense": self.dense,
-            "radius": self.radius,
-            "threshold": self.threshold,
-            "pos_weight": self.pos_weight,
-        }
-        return _to_checkpoint(self.family, arch, self.params)
-
-    @classmethod
-    def from_checkpoint(cls, doc: dict) -> "LambdaNet":
-        a = doc["arch"]
-        net = cls(a["variant"], a["vocab"], a["max_len"], hidden=a["hidden"],
-                  filters=a["filters"], kernel=a["kernel"], dense=a["dense"],
-                  radius=a["radius"], threshold=a["threshold"],
-                  pos_weight=a.get("pos_weight", 1.0), seed=0)
-        shapes = {k: v.shape for k, v in net.params.items()}
-        net.params = _params_from_checkpoint(doc, shapes)
-        return net
 
 
 def build_lambda_training_set(model, dataset: Dataset) -> GateExamples:

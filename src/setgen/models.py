@@ -46,29 +46,48 @@ class TrainConfig:
             raise ValidationError("hidden sizes must be positive")
 
 
-# --- checkpoint plumbing -------------------------------------------------------
+# --- checkpoints ---------------------------------------------------------------
+#
+# Every family stores the same document: its ``family`` name, the ``arch()``
+# dict of constructor keywords, and each parameter as a flat C-order list.
 
 
-def _to_checkpoint(family: str, arch: dict, params: dict[str, np.ndarray]) -> dict:
+def checkpoint(model) -> dict:
+    """The checkpoint document of a model of any family."""
     return {
         "format_version": CHECKPOINT_VERSION,
-        "family": family,
-        "arch": arch,
-        "params": {k: v.ravel(order="C").tolist() for k, v in sorted(params.items())},
+        "family": model.family,
+        "arch": model.arch(),
+        "params": {k: v.ravel(order="C").tolist() for k, v in sorted(model.params.items())},
     }
 
 
-def _params_from_checkpoint(doc: dict, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
-    if doc.get("format_version") != CHECKPOINT_VERSION:
-        raise ValidationError(
-            f"checkpoint format version {doc.get('format_version')!r} "
-            f"not supported (expected {CHECKPOINT_VERSION})"
-        )
-    params = {}
-    for name, shape in shapes.items():
-        flat = np.asarray(doc["params"][name], dtype=float)
-        params[name] = flat.reshape(shape)
-    return params
+def from_checkpoint(doc: dict):
+    """Rebuild a model from :func:`checkpoint`'s document; refuses malformed ones."""
+    from .lambda_net import LambdaNet  # local import: lambda_net imports this module
+
+    classes = {"label": LabelModel, "multilabel": MultiLabelBaseline, "sequence": SequenceModel,
+               "lambda-recurrent": LambdaNet, "lambda-windowed": LambdaNet}
+    try:
+        if doc["format_version"] != CHECKPOINT_VERSION:
+            raise ValidationError(f"checkpoint format version {doc['format_version']!r} "
+                                  f"not supported (expected {CHECKPOINT_VERSION})")
+        if doc["family"] not in classes:
+            raise ValidationError(f"unknown checkpoint family {doc['family']!r}")
+        model = classes[doc["family"]](**doc["arch"], seed=0)
+        if model.family != doc["family"] or set(doc["params"]) != set(model.params):
+            raise ValidationError("checkpoint family or parameter names do not match its arch")
+        for name, init in model.params.items():
+            flat = np.asarray(doc["params"][name], dtype=float)
+            if flat.size != init.size:
+                raise ValidationError(f"checkpoint parameter {name!r} holds {flat.size} "
+                                      f"values, expected {init.size}")
+            model.params[name] = flat.reshape(init.shape)
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed checkpoint ({type(exc).__name__}: {exc})") from exc
+    return model
 
 
 def checkpoint_hash(doc: dict) -> str:
@@ -77,27 +96,27 @@ def checkpoint_hash(doc: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def content_hash(model) -> str:
+    """Checkpoint hash of a model, cached on the instance until it is refit."""
+    cached = getattr(model, "_content_hash", None)
+    if cached is None:
+        cached = checkpoint_hash(checkpoint(model))
+        model._content_hash = cached
+    return cached
+
+
 def save_checkpoint(model, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.checkpoint(), fh, sort_keys=True)
+        json.dump(checkpoint(model), fh, sort_keys=True)
 
 
 def load_checkpoint(path: str):
+    """Read a checkpoint file; a malformed one raises ValidationError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    family = doc.get("family")
-    from . import lambda_net  # local import to avoid a cycle
-
-    loaders = {
-        "label": LabelModel.from_checkpoint,
-        "multilabel": MultiLabelBaseline.from_checkpoint,
-        "sequence": SequenceModel.from_checkpoint,
-        "lambda-recurrent": lambda_net.LambdaNet.from_checkpoint,
-        "lambda-windowed": lambda_net.LambdaNet.from_checkpoint,
-    }
-    if family not in loaders:
-        raise ValidationError(f"unknown checkpoint family {family!r}")
-    return loaders[family](doc)
+        try:
+            return from_checkpoint(json.load(fh))
+        except ValueError as exc:  # bad JSON, or from_checkpoint's ValidationError
+            raise ValidationError(f"{path}: {exc}") from exc
 
 
 # --- MLP body shared by the label model and the sigmoid baseline ----------------
@@ -123,20 +142,12 @@ class _Mlp:
             self.params[f"b{i}"] = np.zeros(d_out)
         self.train_losses: list[float] = []
 
-    def _arch(self) -> dict:
+    def arch(self) -> dict:
         return {
             "input_dim": self.input_dim,
             "output_dim": self.output_dim,
             "hidden_sizes": list(self.hidden_sizes),
         }
-
-    def _shapes(self) -> dict[str, tuple[int, ...]]:
-        dims = [self.input_dim, *self.hidden_sizes, self.output_dim]
-        shapes: dict[str, tuple[int, ...]] = {}
-        for i, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
-            shapes[f"W{i}"] = (d_in, d_out)
-            shapes[f"b{i}"] = (d_out,)
-        return shapes
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         out, _ = self._forward(np.atleast_2d(X))
@@ -193,30 +204,22 @@ class LabelModel(_Mlp):
         loss, dout = nn.cross_entropy(out, y)
         return loss, self._backward(dout, caches)
 
-    def checkpoint(self) -> dict:
-        return _to_checkpoint(self.family, self._arch(), self.params)
-
-    @classmethod
-    def from_checkpoint(cls, doc: dict) -> "LabelModel":
-        arch = doc["arch"]
-        model = cls(arch["input_dim"], arch["output_dim"],
-                    tuple(arch["hidden_sizes"]), seed=0)
-        model.params = _params_from_checkpoint(doc, model._shapes())
-        return model
-
 
 class MultiLabelBaseline(_Mlp):
     """One independent sigmoid per label; the predicted set is a threshold cut."""
 
     family = "multilabel"
 
-    def __init__(self, input_dim: int, n_labels: int,
+    def __init__(self, input_dim: int, output_dim: int,
                  hidden_sizes: tuple[int, ...] = (64,), seed: int = 0,
                  threshold: float = 0.5):
-        super().__init__(input_dim, n_labels, hidden_sizes, seed)
+        super().__init__(input_dim, output_dim, hidden_sizes, seed)
         if not 0.0 < threshold < 1.0:
             raise ValidationError("threshold must lie in (0, 1)")
         self.threshold = float(threshold)
+
+    def arch(self) -> dict:
+        return {**super().arch(), "threshold": self.threshold}
 
     def probabilities(self, x) -> np.ndarray:
         xv = np.asarray(x, dtype=float).reshape(1, -1)
@@ -237,19 +240,6 @@ class MultiLabelBaseline(_Mlp):
         out, caches = self._forward(X)
         loss, dout = nn.binary_cross_entropy(out, Y)
         return loss, self._backward(dout, caches)
-
-    def checkpoint(self) -> dict:
-        arch = self._arch()
-        arch["threshold"] = self.threshold
-        return _to_checkpoint(self.family, arch, self.params)
-
-    @classmethod
-    def from_checkpoint(cls, doc: dict) -> "MultiLabelBaseline":
-        arch = doc["arch"]
-        model = cls(arch["input_dim"], arch["output_dim"], tuple(arch["hidden_sizes"]),
-                    seed=0, threshold=arch["threshold"])
-        model.params = _params_from_checkpoint(doc, model._shapes())
-        return model
 
 
 # --- encoder-decoder sequence model ---------------------------------------------
@@ -430,25 +420,9 @@ class SequenceModel:
         """Next-token distribution conditioned on the prefix (teacher-forcing path)."""
         return nn.softmax(self.step_logits(x, prefix))
 
-    def checkpoint(self) -> dict:
-        arch = {
-            "input_vocab": self.input_vocab,
-            "vocab": self.vocab,
-            "max_len": self.max_len,
-            "embed_dim": self.embed_dim,
-            "enc_hidden": self.enc_hidden,
-            "dec_hidden": self.dec_hidden,
-        }
-        return _to_checkpoint(self.family, arch, self.params)
-
-    @classmethod
-    def from_checkpoint(cls, doc: dict) -> "SequenceModel":
-        a = doc["arch"]
-        model = cls(a["input_vocab"], a["vocab"], a["max_len"], a["embed_dim"],
-                    a["enc_hidden"], a["dec_hidden"], seed=0)
-        shapes = {k: v.shape for k, v in model.params.items()}
-        model.params = _params_from_checkpoint(doc, shapes)
-        return model
+    def arch(self) -> dict:
+        return {k: getattr(self, k) for k in ("input_vocab", "vocab", "max_len", "embed_dim",
+                                              "enc_hidden", "dec_hidden")}
 
 
 class DecoderSession:

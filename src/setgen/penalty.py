@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .core import Dataset, SetSample, TokenSeq, ValidationError, flatten, group_by_input
+from .core import Dataset, SetSample, TokenSeq, ValidationError
 from .models import DecoderSession
 
 log = logging.getLogger(__name__)
@@ -176,27 +176,29 @@ def margin_records(probs: np.ndarray, positives, negatives, produced
 
 
 def margin_stats(model, dataset: Dataset) -> list[MarginRecord]:
-    """One record per flattened pair of a label dataset.
+    """One record per (sample, target label) of a label dataset, in sample order.
 
-    Groups whose negative set is empty (targets covering the whole universe)
+    Samples whose negative set is empty (targets covering the whole universe)
     contribute nothing and are logged, since no negative bounds exist there.
     """
     if dataset.kind != "labels":
         raise ValidationError("margin_stats expects a label dataset")
-    flat = flatten(dataset)
-    groups = group_by_input(flat, universe=dataset.universe)
+    if not dataset.samples:
+        raise ValidationError("margin_stats needs at least one sample")
     records: list[MarginRecord] = []
     skipped = 0
-    for gid in sorted(groups):
-        grp = groups[gid]
-        probs = np.asarray(model.posterior(grp.x), dtype=float)
-        pos = sorted(grp.positives)
-        recs = margin_records(probs, pos, sorted(grp.negatives), pos)
+    for i, sample in enumerate(dataset.samples):
+        if not sample.y:
+            raise ValidationError(f"sample {i} has an empty target set")
+        probs = np.asarray(model.posterior(sample.x), dtype=float)
+        pos = list(sample.y)
+        neg = sorted(set(range(dataset.universe)).difference(pos))
+        recs = margin_records(probs, pos, neg, pos)
         if not recs:
             skipped += 1
         records.extend(recs)
     if skipped:
-        log.warning("margin_stats: skipped %d group(s) with empty negative sets", skipped)
+        log.warning("margin_stats: skipped %d sample(s) with empty negative sets", skipped)
     return records
 
 
@@ -302,8 +304,7 @@ def prefix_nodes(model, sample: SetSample):
         yield prefix, session.logits_for(prefix), nexts[prefix]
 
 
-def solve_lambda_per_position(model, dataset: Dataset,
-                              max_len: int | None = None) -> PenaltyParams:
+def solve_lambda_per_position(model, dataset: Dataset) -> PenaltyParams:
     """One closed-form penalty per output position of a sequence dataset.
 
     Records at position j come from the teacher-forced next-token posterior
@@ -313,7 +314,7 @@ def solve_lambda_per_position(model, dataset: Dataset,
     """
     if dataset.kind != "sequences":
         raise ValidationError("per-position calibration expects a sequence dataset")
-    max_len = max_len or dataset.max_len
+    max_len = dataset.max_len
     vocab = dataset.universe
     per_position: list[list[MarginRecord]] = [[] for _ in range(max_len)]
     for sample in dataset.samples:

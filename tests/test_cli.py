@@ -197,6 +197,52 @@ def test_load_run_drops_stored_thread_count(tmp_path):
     assert main(["eval", "--run", str(out), "--out", str(tmp_path / "e")]) == 0
 
 
+def _drop_last_w0_value(text):
+    doc = json.loads(text)
+    doc["params"]["W0"].pop()
+    return json.dumps(doc)
+
+
+def _drop_x(text):  # from the first sample row, the line after the header
+    return text.replace('"x": ', '"z": ', 1)
+
+
+MALFORMED = [
+    ("config.json", lambda text: "{}"),
+    ("penalty.json", lambda text: "{}"),
+    ("dataset.jsonl", _drop_x),
+    ("dataset.jsonl", lambda text: text[text.index(",") + 1:]),  # cut into the header
+    ("model.json", _drop_last_w0_value),
+    ("gate.json", lambda text: text[:len(text) // 2]),
+]
+
+
+@pytest.mark.parametrize("fname, corrupt", MALFORMED, ids=[
+    "config", "penalty", "dataset-row", "dataset-header", "model-short-W0", "gate-truncated"])
+def test_eval_refuses_a_malformed_run_file_with_one_error_line(tmp_path, capsys, fname,
+                                                                corrupt):
+    cfg = RunConfig(task="threshold", variant="learned-windowed", n=30, epochs=2, seed=1)
+    out = tmp_path / "run"
+    train_run(cfg, out=str(out))
+    path = out / fname
+    path.write_text(corrupt(read(path)))
+    capsys.readouterr()
+    assert main(["eval", "--run", str(out), "--out", str(tmp_path / "e")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and fname in err[0]
+
+
+def test_train_refuses_a_dataset_row_without_x(tmp_path, capsys):
+    assert main(["gen", "--task", "threshold", "--n", "5", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "threshold.jsonl"
+    path.write_text(_drop_x(read(path)))
+    capsys.readouterr()
+    assert main(["train", "--task", "threshold", "--variant", "scalar", "--dataset", str(path),
+                 "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}:2: ")
+
+
 # --- reproduce ------------------------------------------------------------------------
 
 

@@ -9,7 +9,6 @@ from setgen.core import (
     SetSample,
     ValidationError,
     flatten,
-    group_by_input,
     load_dataset,
     save_dataset,
     seq_from_str,
@@ -56,36 +55,16 @@ def test_flatten_rejects_empty_dataset():
         flatten(ds)
 
 
-def test_group_by_input_universe_complement():
-    ds = label_dataset([{5, 6, 7, 8, 9}], universe=10)
-    groups = group_by_input(flatten(ds), universe=10)
-    assert groups[0].positives == frozenset({5, 6, 7, 8, 9})
-    assert groups[0].negatives == frozenset({0, 1, 2, 3, 4})
-
-
-def test_group_by_input_full_coverage_has_empty_complement():
-    ds = label_dataset([{0}], universe=1)
-    groups = group_by_input(flatten(ds), universe=1)
-    assert groups[0].negatives == frozenset()
-
-
-def test_group_by_input_keeps_identical_inputs_distinct():
-    samples = (SetSample(x=(1.0,), y=(0,)), SetSample(x=(1.0,), y=(1,)))
-    ds = Dataset(kind="labels", samples=samples, universe=2, input_dim=1)
-    groups = group_by_input(flatten(ds))
-    assert set(groups) == {0, 1}
-    assert groups[0].positives != groups[1].positives
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.sets(st.integers(0, 9), min_size=1, max_size=10), min_size=1, max_size=12))
 def test_flatten_round_trip_recovers_targets(target_sets):
     ds = label_dataset(target_sets, universe=10)
     pairs = flatten(ds)
     assert len(pairs) == sum(len(s) for s in target_sets)
-    groups = group_by_input(pairs)
-    for gid, expected in enumerate(target_sets):
-        assert groups[gid].positives == frozenset(expected)
+    groups: dict[int, set] = {}
+    for p in pairs:
+        groups.setdefault(p.group_id, set()).add(p.y_elem)
+    assert groups == dict(enumerate(target_sets))
     # determinism: equal datasets flatten identically
     assert flatten(label_dataset(target_sets, universe=10)) == pairs
 

@@ -239,7 +239,7 @@ def test_sequence_decode_per_position_oracle_stepper_is_exact():
     params = solve_lambda_per_position(model, ds)
     assert all(s.feasible for s in params.solutions)
     for s in ds.samples:
-        res = decode_sequence_set(model, params, s.x, max_len=ds.max_len)
+        res = decode_sequence_set(model, params, s.x)
         assert res.sequences == s.y_set
 
 

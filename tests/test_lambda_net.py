@@ -14,7 +14,7 @@ from setgen.lambda_net import (
     gate_accuracy,
     train_lambda_net,
 )
-from setgen.models import LabelModel, TrainConfig, gradient_check
+from setgen.models import LabelModel, TrainConfig, checkpoint, from_checkpoint, gradient_check
 from setgen.penalty import prefix_nodes
 from tests.conftest import PositiveTokenOracle, PrefixStepper
 from tests.test_penalty import OracleStepper, seq_dataset
@@ -280,9 +280,9 @@ def test_batched_scores_equal_single_row_calls(variant):
 
 def test_checkpoint_without_pos_weight_loads_unweighted():
     net = LambdaNet("recurrent", VOCAB, max_len=4, hidden=6, pos_weight=5.0, seed=3)
-    doc = net.checkpoint()
+    doc = checkpoint(net)
     del doc["arch"]["pos_weight"]
-    back = LambdaNet.from_checkpoint(doc)
+    back = from_checkpoint(doc)
     assert back.pos_weight == 1.0
     logits = np.linspace(-2, 1, VOCAB)
     raw = _raw_scores(back, logits, 1)

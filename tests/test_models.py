@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -10,7 +11,9 @@ from setgen.models import (
     MultiLabelBaseline,
     SequenceModel,
     TrainConfig,
+    checkpoint,
     checkpoint_hash,
+    from_checkpoint,
     gradient_check,
     load_checkpoint,
     save_checkpoint,
@@ -256,7 +259,7 @@ def test_checkpoint_round_trip_after_fit(tmp_path):
     for k in m.params:
         assert np.array_equal(back.params[k], m.params[k]), k
     assert np.array_equal(m.step_posterior((1, 2), (3,)), back.step_posterior((1, 2), (3,)))
-    assert checkpoint_hash(m.checkpoint()) == checkpoint_hash(back.checkpoint())
+    assert checkpoint_hash(checkpoint(m)) == checkpoint_hash(checkpoint(back))
 
 
 # --- multi-label baseline -------------------------------------------------------
@@ -435,19 +438,47 @@ def test_checkpoint_round_trip(tmp_path):
     back = load_checkpoint(str(path))
     x = (1, 2, 3)
     assert np.array_equal(m.step_posterior(x), back.step_posterior(x))
-    assert checkpoint_hash(m.checkpoint()) == checkpoint_hash(back.checkpoint())
+    assert checkpoint_hash(checkpoint(m)) == checkpoint_hash(checkpoint(back))
 
 
 def test_checkpoint_rejects_version_mismatch(tmp_path):
-    import json
-
     m = LabelModel(2, 2, (3,), seed=0)
-    doc = m.checkpoint()
+    doc = checkpoint(m)
     doc["format_version"] = 99
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ValidationError, match="version"):
         load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("model", [
+    LabelModel(3, 4, (5,), seed=1),
+    MultiLabelBaseline(3, 4, (5,), seed=1, threshold=0.3),
+    SequenceModel(input_vocab=5, vocab=4, max_len=3, embed_dim=3, enc_hidden=2,
+                  dec_hidden=3, seed=1),
+    LambdaNet("recurrent", 4, max_len=3, hidden=2, seed=1),
+    LambdaNet("windowed", 4, max_len=3, filters=2, dense=3, seed=1),
+], ids=lambda m: m.family)
+def test_every_family_round_trips_through_one_codec(model):
+    doc = checkpoint(model)
+    back = from_checkpoint(json.loads(json.dumps(doc)))
+    assert type(back) is type(model)
+    assert checkpoint(back) == doc
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda doc: doc.update(family="lambda-recurrent"),  # family and arch disagree
+    lambda doc: doc["params"].update(extra=[0.0]),
+    lambda doc: doc["params"].pop("W1"),
+    lambda doc: doc["params"]["b1"].pop(),
+    lambda doc: doc["arch"].update(bogus=1),
+    lambda doc: doc.pop("arch"),
+])
+def test_from_checkpoint_refuses_a_malformed_document(corrupt):
+    doc = checkpoint(LambdaNet("windowed", 4, max_len=3, filters=2, dense=3, seed=1))
+    corrupt(doc)
+    with pytest.raises(ValidationError):
+        from_checkpoint(doc)
 
 
 # --- LSTM kernels against a per-step reference --------------------------------------

@@ -122,6 +122,27 @@ def test_margin_stats_skips_full_universe_group(caplog):
     assert "skipped" in caplog.text
 
 
+def test_margin_stats_keeps_samples_with_the_same_input_apart():
+    ds = Dataset(kind="labels",
+                 samples=(SetSample(x=(0.0,), y=(0,)), SetSample(x=(0.0,), y=(1, 2))),
+                 universe=4, input_dim=1)
+    model = FixedPosterior({(0.0,): [0.4, 0.3, 0.2, 0.1]})
+    assert margin_stats(model, ds) == [
+        MarginRecord(p=0.4, l_pos_min=0.4, l_neg_max=0.3),
+        MarginRecord(p=0.3, l_pos_min=0.2, l_neg_max=0.4),
+        MarginRecord(p=0.2, l_pos_min=0.2, l_neg_max=0.4),
+    ]
+
+
+@pytest.mark.parametrize("samples", [(), (SetSample(x=(0.0,), y=(1,)),
+                                          SetSample(x=(1.0,), y=()))])
+def test_margin_stats_refuses_empty_dataset_and_empty_target_set(samples):
+    ds = Dataset(kind="labels", samples=samples, universe=2, input_dim=1)
+    model = FixedPosterior({(0.0,): [0.5, 0.5], (1.0,): [0.5, 0.5]})
+    with pytest.raises(ValidationError):
+        margin_stats(model, ds)
+
+
 # --- scalar solve ------------------------------------------------------------------
 
 
