@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -55,11 +55,18 @@ from .penalty import PenaltyParams, margin_stats, solve_lambda, solve_lambda_per
 VARIANTS = ("scalar", "per-position", "learned-recurrent", "learned-windowed", "baseline")
 TASKS = ("threshold", "task1", "task2", "multilabel-file")
 GATE_FILE = "gate.json"  # the learned penalty's classifier, beside penalty.json
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str}  # RunConfig's annotations
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Flat, fully serialized description of one train/eval run."""
+    """Flat, fully serialized description of one train/eval run.
+
+    It holds what a run chooses: the task and data, the penalty variant, the
+    stop rule's ``rho``, the split and the schedule.  Model sizes, decision
+    thresholds, the batch size and the decoder's branch cap are the
+    library's defaults, stated once in the model constructors and the decoder.
+    """
 
     task: str
     variant: str
@@ -68,21 +75,15 @@ class RunConfig:
     rho: float = 0.0
     split: float = 0.7
     epochs: int = 40
-    gate_epochs: int = 0  # 0 means "same as epochs"
     learning_rate: float = 1e-3
-    batch_size: int = 15
-    hidden: int = 64
-    embed_dim: int = 60
-    enc_hidden: int = 60
-    dec_hidden: int = 120
-    gate_hidden: int = 24
-    gate_filters: int = 8
-    gate_dense: int = 16
-    threshold: float = 0.5
-    max_branches: int = 1024
     data: str = ""  # sparse multi-label file, multilabel-file task only
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not isinstance(getattr(self, f.name), _FIELD_TYPES[f.type]):
+                raise ValidationError(f"config key {f.name!r} must be of type {f.type}")
+        if self.seed < 0:
+            raise ValidationError("seed must be non-negative")
         if self.task not in TASKS:
             raise ValidationError(f"unknown task {self.task!r}")
         if self.variant not in VARIANTS:
@@ -102,10 +103,6 @@ class RunConfig:
             raise ValidationError("not applicable: sequence sets need a per-position penalty")
         if self.variant == "per-position" and not sequence_task:
             raise ValidationError("not applicable: label sets need a scalar penalty")
-
-    @property
-    def effective_gate_epochs(self) -> int:
-        return self.gate_epochs or self.epochs
 
     def config_hash(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True, separators=(",", ":")).encode()
@@ -140,14 +137,10 @@ def _build_dataset(cfg: RunConfig) -> Dataset:
     return tasks.generate(spec)
 
 
-def _train_cfg(cfg: RunConfig, epochs: int, seed_offset: int = 0) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=cfg.learning_rate,
-        batch_size=cfg.batch_size,
-        epochs=epochs,
-        seed=cfg.seed + seed_offset,
-        hidden_sizes=(cfg.hidden,),
-    )
+def _train_cfg(cfg: RunConfig, seed_offset: int = 0) -> TrainConfig:
+    """The run's schedule; batch and layer sizes are the library's defaults."""
+    return TrainConfig(learning_rate=cfg.learning_rate, epochs=cfg.epochs,
+                       seed=cfg.seed + seed_offset)
 
 
 @dataclass
@@ -185,9 +178,7 @@ def train_run(cfg: RunConfig, dataset: Dataset | None = None, out: str | None = 
 
     if cfg.variant == "baseline":
         label_ds = tasks.task1_label_view(train_ds) if cfg.task == "task1" else train_ds
-        art.baseline_model = train_multilabel_baseline(
-            label_ds, _train_cfg(cfg, cfg.epochs), threshold=cfg.threshold
-        )
+        art.baseline_model = train_multilabel_baseline(label_ds, _train_cfg(cfg))
         report["train_losses"] = art.baseline_model.train_losses
     else:
         if base_model is not None:
@@ -221,12 +212,9 @@ def train_run(cfg: RunConfig, dataset: Dataset | None = None, out: str | None = 
 def _fit_base_model(cfg: RunConfig, train_ds: Dataset):
     flat = flatten(train_ds)
     if train_ds.kind == "labels":
-        return train_label_model(flat, _train_cfg(cfg, cfg.epochs), train_ds.universe)
-    return train_sequence_model(
-        flat, _train_cfg(cfg, cfg.epochs),
-        input_vocab=train_ds.input_vocab, vocab=train_ds.universe, max_len=train_ds.max_len,
-        embed_dim=cfg.embed_dim, enc_hidden=cfg.enc_hidden, dec_hidden=cfg.dec_hidden,
-    )
+        return train_label_model(flat, _train_cfg(cfg), train_ds.universe)
+    return train_sequence_model(flat, _train_cfg(cfg), input_vocab=train_ds.input_vocab,
+                                vocab=train_ds.universe, max_len=train_ds.max_len)
 
 
 def _gate_variant(cfg: RunConfig) -> str:
@@ -251,11 +239,7 @@ def _fit_gate(cfg: RunConfig, model, train_ds: Dataset, report: dict,
         examples = (build_examples(model, replace(train_ds, samples=train_ds.samples[:cut])),
                     build_examples(model, replace(train_ds, samples=train_ds.samples[cut:])))
     train, holdout = examples
-    gate = train_lambda_net(
-        train, _gate_variant(cfg), _train_cfg(cfg, cfg.effective_gate_epochs, 1),
-        max_len=max_len, threshold=cfg.threshold, hidden=cfg.gate_hidden,
-        filters=cfg.gate_filters, dense=cfg.gate_dense,
-    )
+    gate = train_lambda_net(train, _gate_variant(cfg), _train_cfg(cfg, 1), max_len=max_len)
     report["gate_train_losses"] = gate.train_losses
     report["gate_validation_accuracy"] = gate_accuracy(gate, holdout)
     return gate, examples
@@ -281,7 +265,7 @@ def _persist_run(art: RunArtifacts, out: str) -> None:
 
 
 def _read_run_file(path: str, parse):
-    """``parse`` applied to a run file's JSON; a malformed file is refused by path."""
+    """``parse`` applied to a JSON file's document; a malformed file is refused by path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return parse(json.load(fh))
@@ -291,29 +275,52 @@ def _read_run_file(path: str, parse):
 
 def _run_config(doc) -> RunConfig:
     # Skip keys that older versions wrote and RunConfig no longer has (the
-    # eval thread count), so their run directories still load.
+    # eval thread count, model sizes, thresholds, the batch size, the branch
+    # cap and the gate's epochs), so their run directories still load.
     saved = doc["config"]
     return RunConfig(**{k: saved[k] for k in RunConfig.__dataclass_fields__ if k in saved})
 
 
+def _load_model(path: str, family: str):
+    """The model in a checkpoint file, refused unless it is of ``family``."""
+    model = load_checkpoint(path)
+    if model.family != family:
+        raise ValidationError(f"{path}: holds a {model.family!r} model, the run needs {family!r}")
+    return model
+
+
 def load_run(run_dir: str) -> RunArtifacts:
-    """Rehydrate checkpoints written by ``train_run``; refuses malformed files."""
-    cfg = _read_run_file(os.path.join(run_dir, "config.json"), _run_config)
-    dataset = load_dataset(os.path.join(run_dir, "dataset.jsonl"))
+    """Rehydrate the files ``train_run`` wrote for the config's variant.
+
+    Refuses a missing or malformed file, a dataset of another kind than the
+    task, a model of another family than the dataset, and a penalty of
+    another kind than the variant.
+    """
+    path = lambda name: os.path.join(run_dir, name)
+    cfg = _read_run_file(path("config.json"), _run_config)
+    dataset = load_dataset(path("dataset.jsonl"))
+    kind = "sequences" if cfg.task in ("task1", "task2") else "labels"
+    if dataset.kind != kind:
+        raise ValidationError(f"{path('dataset.jsonl')}: task {cfg.task!r} needs {kind}, "
+                              f"the file holds {dataset.kind}")
     train_ds, test_ds = tasks.split_train_test(dataset, cfg.split, cfg.seed)
     art = RunArtifacts(cfg=cfg, dataset=dataset, train_split=train_ds, test_split=test_ds)
-    model_path = os.path.join(run_dir, "model.json")
-    if os.path.exists(model_path):
-        art.base_model = load_checkpoint(model_path)
-    baseline_path = os.path.join(run_dir, "baseline.json")
-    if os.path.exists(baseline_path):
-        art.baseline_model = load_checkpoint(baseline_path)
-    penalty_path = os.path.join(run_dir, "penalty.json")
-    if os.path.exists(penalty_path):
-        art.penalty = _read_run_file(penalty_path, PenaltyParams.from_dict)
-        gate_path = os.path.join(run_dir, GATE_FILE)
-        if os.path.exists(gate_path):
-            art.penalty.classifier = load_checkpoint(gate_path)
+    if cfg.variant == "baseline":
+        art.baseline_model = _load_model(path("baseline.json"), "multilabel")
+        return art
+    art.base_model = _load_model(path("model.json"),
+                                 "label" if kind == "labels" else "sequence")
+    art.penalty = _read_run_file(path("penalty.json"), PenaltyParams.from_dict)
+    penalty = "learned" if cfg.variant.startswith("learned") else cfg.variant
+    if art.penalty.variant != penalty:
+        raise ValidationError(f"{path('penalty.json')}: variant {cfg.variant!r} needs a "
+                              f"{penalty!r} penalty, the file holds {art.penalty.variant!r}")
+    if penalty == "learned":
+        if not art.penalty.classifier_ref:
+            raise ValidationError(f"{path('penalty.json')}: the learned penalty names no "
+                                  "classifier_ref")
+        art.penalty.classifier = _load_model(path(art.penalty.classifier_ref),
+                                             f"lambda-{_gate_variant(cfg)}")
     return art
 
 
@@ -336,10 +343,7 @@ def _predict_sample(art: RunArtifacts, sample):
             return res.label_set, res.iterations, res.repeats, res.truncated
         logits = art.base_model.scores(np.asarray(sample.x, dtype=float)[None, :])[0]
         return art.penalty.classifier.classify(logits, 1), 1, 0, False
-    res = decode_sequence_set(
-        art.base_model, art.penalty, sample.x,
-        rho=cfg.rho, max_branches=cfg.max_branches,
-    )
+    res = decode_sequence_set(art.base_model, art.penalty, sample.x, rho=cfg.rho)
     content = frozenset(seq[:-1] for seq in res.sequences)
     return content, res.iterations, res.repeats, res.truncated
 
@@ -366,7 +370,9 @@ def eval_run(art: RunArtifacts, out: str | None = None,
     cfg = art.cfg
     metric = metric or task_metric(cfg.task)
     ds = art.test_split
-    if cfg.variant != "baseline" and art.penalty is not None and art.base_model is not None:
+    if metric == "mED" and ds.kind == "labels":
+        raise ValidationError("mED scores sequence sets; score a label-set run with mF1")
+    if cfg.variant != "baseline":
         verify_penalty_binding(art.base_model, art.penalty)
     results = [_predict_sample(art, s) for s in ds.samples]
     preds = [r[0] for r in results]
@@ -516,10 +522,7 @@ def _format_table(task: str, metric: str, names: list[str], cells: list) -> str:
 
 
 def _merged_config(args: argparse.Namespace, required: tuple[str, ...] = ()) -> RunConfig:
-    doc: dict = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            doc.update(json.load(fh))
+    doc: dict = _read_run_file(args.config, dict) if args.config else {}
     unknown = sorted(set(doc) - set(RunConfig.__dataclass_fields__))
     if unknown:
         raise ValidationError(f"unknown config key(s) {', '.join(map(repr, unknown))}")
@@ -556,7 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", type=str, default=None, help="sparse multi-label file")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--gate-epochs", dest="gate_epochs", type=int, default=None)
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--split", type=float, default=None)
     p.add_argument("--config", type=str, default=None,
@@ -625,7 +627,7 @@ def main(argv: list[str] | None = None) -> int:
                               epochs=args.epochs, data=args.data)
             return 0 if ok else 3
         raise ValidationError(f"unknown command {args.cmd!r}")
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:  # OSError: a path the user named
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except TrainingError as exc:

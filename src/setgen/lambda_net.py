@@ -228,19 +228,11 @@ class LambdaNet:
 
     # -- loss (weighted binary cross-entropy) --------------------------------
 
-    def loss(self, batch) -> float:
-        return self._loss_impl(batch, with_grads=False)[0]
-
     def loss_and_grads(self, batch):
-        return self._loss_impl(batch, with_grads=True)
-
-    def _loss_impl(self, batch, with_grads: bool):
         """``batch`` is the forward inputs, then (B, V) targets and weights."""
         *inputs, targets, weights = batch
         scores, caches = self._forward(*inputs)
         loss, dscores = nn.binary_cross_entropy(scores, targets, weights)
-        if not with_grads:
-            return loss, None
         if self.variant == "recurrent":
             return loss, self._backward_recurrent(dscores, caches)
         return loss, self._backward_windowed(dscores, caches)
@@ -321,14 +313,13 @@ def gate_accuracy(gate: LambdaNet, examples: GateExamples) -> float | None:
 
 
 def train_lambda_net(examples: GateExamples, variant: str,
-                     cfg: TrainConfig, *, max_len: int | None = None,
-                     threshold: float = 0.5, hidden: int = 24, filters: int = 8,
-                     dense: int = 16) -> LambdaNet:
+                     cfg: TrainConfig, *, max_len: int | None = None, **arch) -> LambdaNet:
     """Fit the gate with positive-class weighting #neg/#pos from the examples.
 
     The weight is stored on the returned gate, whose ``scores`` undo the
-    prior shift it causes; ``threshold`` then cuts the emit probability.
-    Batches are whole examples, the V token rows of each.
+    prior shift it causes; its ``threshold`` then cuts the emit probability.
+    ``arch`` holds :class:`LambdaNet` size and threshold keywords; omitted
+    ones take its defaults.  Batches are whole examples, the V token rows of each.
     """
     if not len(examples):
         raise ValidationError("no gate training examples")
@@ -341,9 +332,7 @@ def train_lambda_net(examples: GateExamples, variant: str,
         raise TrainingError("gate training set is single-class; nothing to separate")
     pos_weight = n_neg / n_pos
     rng = np.random.default_rng(cfg.seed)
-    net = LambdaNet(variant, vocab, max_len, hidden=hidden, filters=filters,
-                    dense=dense, threshold=threshold, pos_weight=pos_weight,
-                    seed=cfg.seed)
+    net = LambdaNet(variant, vocab, max_len, **arch, pos_weight=pos_weight, seed=cfg.seed)
     weights = np.where(targets > 0.5, pos_weight, 1.0)
     arrays = (*net._inputs(examples.logits, examples.positions), targets, weights)
     return _run_epochs(net, lambda idx: tuple(a[idx] for a in arrays), len(examples), cfg, rng)

@@ -123,7 +123,10 @@ def load_checkpoint(path: str):
 
 
 class _Mlp:
-    """Tanh hidden layers plus a linear head; heads differ by subclass."""
+    """Tanh hidden layers plus a linear head; heads differ by subclass.
+
+    ``_head_loss(out, targets) -> (loss, dout)`` is the subclass's head.
+    """
 
     family = "mlp"
 
@@ -181,34 +184,30 @@ class _Mlp:
             d, grads[f"W{i}"], grads[f"b{i}"] = nn.dense_backward(d, dc)
         return grads
 
+    def loss_and_grads(self, batch):
+        X, targets = batch
+        out, caches = self._forward(X)
+        loss, dout = self._head_loss(out, targets)
+        return loss, self._backward(dout, caches)
+
 
 class LabelModel(_Mlp):
     """Softmax classifier over a finite label universe."""
 
     family = "label"
+    _head_loss = staticmethod(nn.cross_entropy)
 
     def posterior(self, x) -> np.ndarray:
         """Probability vector over labels for one input; pure in (params, x)."""
         xv = np.asarray(x, dtype=float).reshape(1, -1)
         return nn.softmax(self.scores(xv), axis=1)[0]
 
-    def loss(self, batch) -> float:
-        X, y = batch
-        out, _ = self._forward(X)
-        loss, _ = nn.cross_entropy(out, y)
-        return loss
-
-    def loss_and_grads(self, batch):
-        X, y = batch
-        out, caches = self._forward(X)
-        loss, dout = nn.cross_entropy(out, y)
-        return loss, self._backward(dout, caches)
-
 
 class MultiLabelBaseline(_Mlp):
     """One independent sigmoid per label; the predicted set is a threshold cut."""
 
     family = "multilabel"
+    _head_loss = staticmethod(nn.binary_cross_entropy)
 
     def __init__(self, input_dim: int, output_dim: int,
                  hidden_sizes: tuple[int, ...] = (64,), seed: int = 0,
@@ -228,18 +227,6 @@ class MultiLabelBaseline(_Mlp):
     def predict_set(self, x) -> frozenset[int]:
         probs = self.probabilities(x)
         return frozenset(int(i) for i in np.flatnonzero(probs >= self.threshold))
-
-    def loss(self, batch) -> float:
-        X, Y = batch
-        out, _ = self._forward(X)
-        loss, _ = nn.binary_cross_entropy(out, Y)
-        return loss
-
-    def loss_and_grads(self, batch):
-        X, Y = batch
-        out, caches = self._forward(X)
-        loss, dout = nn.binary_cross_entropy(out, Y)
-        return loss, self._backward(dout, caches)
 
 
 # --- encoder-decoder sequence model ---------------------------------------------
@@ -331,13 +318,7 @@ class SequenceModel:
 
     # -- teacher-forced loss ------------------------------------------------
 
-    def loss(self, batch) -> float:
-        return self._loss_impl(batch, with_grads=False)[0]
-
-    def loss_and_grads(self, batch):
-        return self._loss_impl(batch, with_grads=True)
-
-    def _loss_impl(self, pairs, with_grads: bool):
+    def loss_and_grads(self, pairs):
         for x, y in pairs:
             if len(y) > self.max_len:
                 raise ValidationError(f"target length {len(y)} exceeds max_len {self.max_len}")
@@ -361,8 +342,6 @@ class SequenceModel:
         weights = out_mask.T.ravel()
         picked = nn.log_softmax(logits, axis=1)[rows, targets]
         loss = -float(np.sum(weights * picked)) / B
-        if not with_grads:
-            return loss, None
 
         dlogits = nn.softmax(logits, axis=1)
         dlogits[rows, targets] -= 1.0
@@ -492,8 +471,7 @@ def train_label_model(flat: list[FlatPair], cfg: TrainConfig, n_labels: int) -> 
     return _run_epochs(model, lambda idx: (X[idx], y[idx]), len(flat), cfg, rng)
 
 
-def train_multilabel_baseline(dataset: Dataset, cfg: TrainConfig,
-                              threshold: float = 0.5) -> MultiLabelBaseline:
+def train_multilabel_baseline(dataset: Dataset, cfg: TrainConfig) -> MultiLabelBaseline:
     """Fit the per-label sigmoid baseline on whole samples (multi-hot targets)."""
     if dataset.kind != "labels":
         raise ValidationError("the multi-label baseline applies to label tasks only")
@@ -503,16 +481,16 @@ def train_multilabel_baseline(dataset: Dataset, cfg: TrainConfig,
         for lab in s.y:
             Y[i, lab] = 1.0
     rng = np.random.default_rng(cfg.seed)
-    model = MultiLabelBaseline(X.shape[1], dataset.universe, cfg.hidden_sizes,
-                               seed=cfg.seed, threshold=threshold)
+    model = MultiLabelBaseline(X.shape[1], dataset.universe, cfg.hidden_sizes, seed=cfg.seed)
     return _run_epochs(model, lambda idx: (X[idx], Y[idx]), len(dataset.samples), cfg, rng)
 
 
 def train_sequence_model(flat: list[FlatPair], cfg: TrainConfig, *,
-                         input_vocab: int, vocab: int, max_len: int,
-                         embed_dim: int = 60, enc_hidden: int = 60,
-                         dec_hidden: int = 120) -> SequenceModel:
-    """Fit the encoder-decoder with teacher forcing on flattened pairs."""
+                         input_vocab: int, vocab: int, max_len: int, **arch) -> SequenceModel:
+    """Fit the encoder-decoder with teacher forcing on flattened pairs.
+
+    ``arch`` holds :class:`SequenceModel` size keywords; omitted ones take its defaults.
+    """
     if not flat:
         raise ValidationError("no training pairs")
     eos = vocab - 1
@@ -523,8 +501,7 @@ def train_sequence_model(flat: list[FlatPair], cfg: TrainConfig, *,
             raise ValidationError(f"target length {len(p.y_elem)} exceeds max_len {max_len}")
     pairs = [(p.x, p.y_elem) for p in flat]
     rng = np.random.default_rng(cfg.seed)
-    model = SequenceModel(input_vocab, vocab, max_len, embed_dim, enc_hidden,
-                          dec_hidden, seed=cfg.seed)
+    model = SequenceModel(input_vocab, vocab, max_len, **arch, seed=cfg.seed)
     return _run_epochs(model, lambda idx: [pairs[i] for i in idx], len(pairs), cfg, rng)
 
 
@@ -548,9 +525,9 @@ def gradient_check(model, batch, eps: float = 1e-4) -> float:
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            lo_plus = model.loss(batch)
+            lo_plus = model.loss_and_grads(batch)[0]
             flat[i] = orig - eps
-            lo_minus = model.loss(batch)
+            lo_minus = model.loss_and_grads(batch)[0]
             flat[i] = orig
             fd = (lo_plus - lo_minus) / (2.0 * eps)
             rel = abs(gflat[i] - fd) / max(abs(gflat[i]), abs(fd), 1e-8)

@@ -117,6 +117,9 @@ class PenaltyParams:
         if self.variant == "per-position":
             if not self.values or any(not np.isfinite(v) for v in self.values):
                 raise ValidationError("per-position penalty requires finite values")
+        if not all(ref is None or isinstance(ref, str)
+                   for ref in (self.classifier_ref, self.model_hash)):
+            raise ValidationError("classifier_ref and model_hash must be strings")
 
     def position_value(self, position: int) -> float:
         """Penalty for 1-based output position; positions past the table reuse the last."""
@@ -148,11 +151,11 @@ class PenaltyParams:
             )
             for s in doc.get("feasibility", [])
         )
-        values = doc.get("values")
+        value, values = doc.get("value"), doc.get("values")
         return cls(
             variant=doc["variant"],
-            value=doc.get("value"),
-            values=tuple(values) if values is not None else None,
+            value=float(value) if value is not None else None,
+            values=tuple(map(float, values)) if values is not None else None,
             solutions=sols,
             classifier_ref=doc.get("classifier_ref"),
             model_hash=doc.get("model_hash"),

@@ -78,6 +78,8 @@ class TaskSpec:
     def __post_init__(self) -> None:
         if self.n <= 0:
             raise ValidationError("sample count must be positive")
+        if self.seed < 0:
+            raise ValidationError("seed must be non-negative")
         if self.task not in ("threshold", "task1", "task2"):
             raise ValidationError(f"unknown task {self.task!r}")
         if self.task == "task1" and not 1 <= self.min_len <= self.max_len:

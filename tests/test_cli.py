@@ -1,11 +1,20 @@
+import contextlib
+import inspect
+import io
 import json
 import os
+import shutil
+import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setgen import cli
 from setgen.cli import (
+    VARIANTS,
     RunConfig,
     eval_run,
     load_run,
@@ -15,6 +24,7 @@ from setgen.cli import (
 )
 from setgen.core import ValidationError, load_dataset
 from setgen.metrics import EvalReport
+from setgen.models import load_checkpoint
 from setgen.tasks import TaskSpec, generate, task2_truth
 from tests.conftest import OracleLabelPosterior
 
@@ -120,6 +130,8 @@ def test_baseline_on_task2_is_refused():
     assert main(["train", "--task", "task2", "--variant", "baseline"]) == 1
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
 def test_train_exit_code_on_divergence(tmp_path):
     conf = tmp_path / "c.json"
     conf.write_text(json.dumps({
@@ -184,17 +196,163 @@ def test_eval_oracle_fixture_scores_perfectly(tmp_path):
     assert report.exact_match_rate == 1.0
 
 
-def test_load_run_drops_stored_thread_count(tmp_path):
-    # run directories written while eval had a thread pool store "threads"
+@pytest.mark.parametrize("key, value", [("threads", 2), ("max_branches", 1024),
+                                        ("gate_hidden", 24)],
+                         ids=["threads", "max_branches", "gate_hidden"])
+def test_load_run_drops_removed_config_keys(tmp_path, key, value):
+    # older run directories store keys RunConfig no longer has: the eval
+    # thread count, and the sizes and caps that are now library defaults
     cfg = RunConfig(task="threshold", variant="scalar", n=40, epochs=2, seed=5)
     out = tmp_path / "run"
     train_run(cfg, out=str(out))
     path = out / "config.json"
     doc = json.loads(read(path))
-    doc["config"]["threads"] = 2
+    doc["config"][key] = value
     path.write_text(json.dumps(doc))
     assert load_run(str(out)).cfg == cfg
     assert main(["eval", "--run", str(out), "--out", str(tmp_path / "e")]) == 0
+
+
+def _arch_defaults(cls) -> dict:
+    """A constructor's keyword defaults, as a checkpoint's ``arch`` stores them."""
+    return {k: list(p.default) if isinstance(p.default, tuple) else p.default
+            for k, p in inspect.signature(cls).parameters.items()
+            if p.default is not inspect.Parameter.empty and k not in ("seed", "pos_weight")}
+
+
+@pytest.mark.parametrize("task, variant", [("threshold", "learned-windowed"),
+                                           ("threshold", "baseline"),
+                                           ("task2", "learned-recurrent")])
+def test_train_run_saves_the_constructor_default_arch(tmp_path, task, variant):
+    out = tmp_path / "run"
+    train_run(RunConfig(task=task, variant=variant, n=20, epochs=1, seed=1), out=str(out))
+    saved = [f for f in ("model.json", "baseline.json", "gate.json") if (out / f).exists()]
+    assert len(saved) == (1 if variant == "baseline" else 2)
+    for fname in saved:
+        arch = json.loads(read(out / fname))["arch"]
+        defaults = _arch_defaults(type(load_checkpoint(str(out / fname))))
+        assert defaults and {k: arch[k] for k in defaults} == defaults
+
+
+def _run_of(tmp_path, variant, task="threshold"):
+    out = tmp_path / "run"
+    train_run(RunConfig(task=task, variant=variant, n=30, epochs=2, seed=1), out=str(out))
+    return out
+
+
+def _eval_error(tmp_path, capsys, run) -> str:
+    """The one ``error:`` line of a refused ``eval``."""
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run), "--out", str(tmp_path / "e")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    return err[0]
+
+
+@pytest.mark.parametrize("variant, fname", [("learned-windowed", "gate.json"),
+                                            ("scalar", "model.json"),
+                                            ("scalar", "penalty.json")])
+def test_eval_refuses_a_run_missing_a_file_of_its_variant(tmp_path, capsys, variant, fname):
+    run = _run_of(tmp_path, variant)
+    os.remove(run / fname)
+    assert fname in _eval_error(tmp_path, capsys, run)
+
+
+def test_eval_refuses_a_penalty_of_another_kind_than_the_variant(tmp_path, capsys):
+    run = _run_of(tmp_path, "learned-windowed")
+    doc = json.loads(read(run / "config.json"))
+    doc["config"]["variant"] = "scalar"
+    (run / "config.json").write_text(json.dumps(doc))
+    err = _eval_error(tmp_path, capsys, run)
+    assert "penalty.json" in err and "'scalar'" in err and "'learned'" in err
+
+
+def test_eval_refuses_a_model_of_another_family_than_the_dataset(tmp_path, capsys):
+    run = _run_of(tmp_path, "learned-windowed")
+    shutil.copy(run / "gate.json", run / "model.json")
+    assert "model.json" in _eval_error(tmp_path, capsys, run)
+
+
+@pytest.fixture(scope="module")
+def saved_runs(tmp_path_factory):
+    """One small trained run directory per penalty variant."""
+    runs = {}
+    for variant in VARIANTS:
+        task = "task1" if variant == "per-position" else "threshold"
+        out = tmp_path_factory.mktemp(variant) / "run"
+        train_run(RunConfig(task=task, variant=variant, n=20, epochs=1, seed=2), out=str(out))
+        runs[variant] = str(out)
+    return runs
+
+
+def _key_paths(doc, prefix=()):
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_eval_of_a_corrupted_run_exits_0_or_1_with_one_error_line(saved_runs, data):
+    variant = data.draw(st.sampled_from(VARIANTS), label="variant")
+    with tempfile.TemporaryDirectory() as tmp:
+        run = os.path.join(tmp, "run")
+        shutil.copytree(saved_runs[variant], run)
+        fname = data.draw(st.sampled_from(sorted(os.listdir(run))), label="file")
+        path = os.path.join(run, fname)
+        op = data.draw(st.sampled_from(("delete", "truncate", "drop-key", "retype",
+                                        "swap-variant")), label="op")
+        if op == "delete":
+            os.remove(path)
+        elif op == "truncate":
+            text = read(path)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text[:data.draw(st.integers(0, len(text) - 1), label="cut")])
+        else:
+            if op == "swap-variant":
+                path = os.path.join(run, "config.json")
+            # a JSON file, or the header line of dataset.jsonl
+            head, _, rows = read(path).partition("\n") if path.endswith(".jsonl") \
+                else (read(path), "", "")
+            doc = json.loads(head)
+            keys = ("config", "variant") if op == "swap-variant" else \
+                data.draw(st.sampled_from(list(_key_paths(doc))), label="key")
+            parent = doc
+            for key in keys[:-1]:
+                parent = parent[key]
+            if op == "drop-key":
+                del parent[keys[-1]]
+            else:
+                parent[keys[-1]] = data.draw(
+                    st.sampled_from(VARIANTS) if op == "swap-variant"
+                    else st.sampled_from(("x", None, [], {}, 1.5, -1)), label="value")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(doc) + "\n" + rows)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["eval", "--run", run, "--out", os.path.join(tmp, "e")])
+    lines = err.getvalue().splitlines()
+    assert rc == 0 or (rc == 1 and len(lines) == 1 and lines[0].startswith("error: "))
+
+
+@pytest.mark.parametrize("case", ["train-config-truncated", "eval-run-missing",
+                                  "train-dataset-missing", "import-data-missing"])
+def test_a_bad_path_the_user_named_ends_in_one_error_line(tmp_path, capsys, case):
+    named = tmp_path / "missing"
+    argv = {
+        "train-config-truncated": ["train", "--config", str(named)],
+        "eval-run-missing": ["eval", "--run", str(named)],
+        "train-dataset-missing": ["train", "--task", "threshold", "--variant", "scalar",
+                                  "--dataset", str(named)],
+        "import-data-missing": ["import", "--data", str(named)],
+    }[case]
+    if case == "train-config-truncated":
+        named.write_text('{"task": "threshold", "variant": ')
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(named) in err[0]
 
 
 def _drop_last_w0_value(text):
@@ -214,11 +372,14 @@ MALFORMED = [
     ("dataset.jsonl", lambda text: text[text.index(",") + 1:]),  # cut into the header
     ("model.json", _drop_last_w0_value),
     ("gate.json", lambda text: text[:len(text) // 2]),
+    ("penalty.json", lambda text: json.dumps({**json.loads(text), "model_hash": 7})),
+    ("config.json", lambda text: text.replace('"seed": 1', '"seed": "1"')),
 ]
 
 
 @pytest.mark.parametrize("fname, corrupt", MALFORMED, ids=[
-    "config", "penalty", "dataset-row", "dataset-header", "model-short-W0", "gate-truncated"])
+    "config", "penalty", "dataset-row", "dataset-header", "model-short-W0", "gate-truncated",
+    "penalty-hash-number", "config-seed-string"])
 def test_eval_refuses_a_malformed_run_file_with_one_error_line(tmp_path, capsys, fname,
                                                                 corrupt):
     cfg = RunConfig(task="threshold", variant="learned-windowed", n=30, epochs=2, seed=1)
@@ -333,6 +494,7 @@ def test_config_file_merging(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["gen", "--task", "task1", "--n", "5", "--config", "c.json"],
     ["eval", "--run", "run", "--seed", "9"],
+    ["train", "--task", "threshold", "--variant", "scalar", "--gate-epochs", "3"],
 ])
 def test_flags_a_verb_does_not_read_fail_at_parsing(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
@@ -363,3 +525,40 @@ def test_run_config_validation():
         RunConfig(task="task2", variant="scalar")
     with pytest.raises(ValidationError, match="not applicable"):
         RunConfig(task="threshold", variant="per-position")
+
+
+def test_run_config_holds_the_nine_run_settings():
+    assert [f.name for f in fields(RunConfig)] == [
+        "task", "variant", "n", "seed", "rho", "split", "epochs", "learning_rate", "data"]
+    with pytest.raises(ValidationError, match="'seed'"):
+        RunConfig(task="threshold", variant="scalar", seed="7")
+
+
+@pytest.mark.parametrize("key", ["max_branches", "gate_hidden", "threshold"])
+def test_train_config_naming_a_removed_key_is_refused(tmp_path, capsys, key):
+    conf = tmp_path / "c.json"
+    conf.write_text(json.dumps({"task": "threshold", "variant": "scalar", key: 1}))
+    capsys.readouterr()
+    assert main(["train", "--config", str(conf), "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert "unknown config key" in err and repr(key) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--task", "threshold", "--n", "5", "--seed", "-1"],
+    ["train", "--task", "threshold", "--variant", "scalar", "--n", "5", "--seed", "-1"],
+    ["reproduce", "task1", "--n", "5", "--seed", "-1"],
+], ids=["gen", "train", "reproduce"])
+def test_a_negative_seed_ends_in_one_error_line(tmp_path, capsys, argv):
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: seed must be non-negative"]
+
+
+def test_eval_refuses_edit_distance_on_a_label_run(tmp_path, capsys):
+    run = _run_of(tmp_path, "scalar")
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run), "--metric", "mED", "--out", str(tmp_path / "e")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: mED")
