@@ -39,7 +39,6 @@ from .penalty import (
     MarginRecord,
     PenaltyParams,
     margin_stats,
-    position_candidates,
     solve_lambda,
     solve_lambda_per_position,
 )

@@ -33,10 +33,9 @@ from .core import (
     save_dataset,
     seq_to_str,
 )
-from .decoder import decode_sequence_set, decode_set, verify_penalty_binding
+from .decoder import decode_sequence_set, position_tokens, verify_penalty_binding
 from .lambda_net import (
     LambdaNet,
-    build_label_lambda_training_set,
     build_lambda_training_set,
     gate_accuracy,
     train_lambda_net,
@@ -84,6 +83,10 @@ class RunConfig:
                 raise ValidationError(f"config key {f.name!r} must be of type {f.type}")
         if self.seed < 0:
             raise ValidationError("seed must be non-negative")
+        if self.n < 1 or self.epochs < 1:
+            raise ValidationError("sample count and epochs must be at least 1")
+        if not self.learning_rate > 0:
+            raise ValidationError("learning rate must be positive")
         if self.task not in TASKS:
             raise ValidationError(f"unknown task {self.task!r}")
         if self.variant not in VARIANTS:
@@ -105,8 +108,12 @@ class RunConfig:
             raise ValidationError("not applicable: label sets need a scalar penalty")
 
     def config_hash(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True, separators=(",", ":")).encode()
-        return hashlib.sha256(blob).hexdigest()
+        return _hash_config(asdict(self))
+
+
+def _hash_config(config: dict) -> str:
+    blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -156,6 +163,10 @@ class RunArtifacts:
     penalty: PenaltyParams | None = None
     gate_examples: tuple | None = None  # the gate's (train, holdout) GateExamples
     report: dict | None = None
+    config_hash: str = ""  # defaults to the hash of ``cfg``
+
+    def __post_init__(self) -> None:
+        self.config_hash = self.config_hash or self.cfg.config_hash()
 
 
 def train_run(cfg: RunConfig, dataset: Dataset | None = None, out: str | None = None,
@@ -171,7 +182,7 @@ def train_run(cfg: RunConfig, dataset: Dataset | None = None, out: str | None = 
     report: dict = {
         "version": __version__,
         "config": asdict(cfg),
-        "config_hash": cfg.config_hash(),
+        "config_hash": art.config_hash,
         "n_train": len(train_ds),
         "n_test": len(test_ds),
     }
@@ -230,15 +241,12 @@ def _fit_gate(cfg: RunConfig, model, train_ds: Dataset, report: dict,
     passed in and are returned with the gate; a split too small to hold any
     sample out reports no validation accuracy.
     """
-    if train_ds.kind == "labels":
-        build_examples, max_len = build_label_lambda_training_set, 1
-    else:
-        build_examples, max_len = build_lambda_training_set, train_ds.max_len
     if examples is None:
         cut = max(1, int(round(0.9 * len(train_ds))))
-        examples = (build_examples(model, replace(train_ds, samples=train_ds.samples[:cut])),
-                    build_examples(model, replace(train_ds, samples=train_ds.samples[cut:])))
+        examples = tuple(build_lambda_training_set(model, replace(train_ds, samples=part))
+                         for part in (train_ds.samples[:cut], train_ds.samples[cut:]))
     train, holdout = examples
+    max_len = 1 if train_ds.kind == "labels" else train_ds.max_len
     gate = train_lambda_net(train, _gate_variant(cfg), _train_cfg(cfg, 1), max_len=max_len)
     report["gate_train_losses"] = gate.train_losses
     report["gate_validation_accuracy"] = gate_accuracy(gate, holdout)
@@ -250,7 +258,7 @@ def _persist_run(art: RunArtifacts, out: str) -> None:
     _write_json(os.path.join(out, "config.json"), {
         "version": __version__,
         "config": asdict(art.cfg),
-        "config_hash": art.cfg.config_hash(),
+        "config_hash": art.config_hash,
     })
     save_dataset(art.dataset, os.path.join(out, "dataset.jsonl"))
     if art.base_model is not None:
@@ -273,12 +281,15 @@ def _read_run_file(path: str, parse):
             raise ValidationError(f"{path}: malformed ({type(exc).__name__}: {exc})") from exc
 
 
-def _run_config(doc) -> RunConfig:
+def _run_config(doc) -> tuple[RunConfig, str]:
+    """The config of a ``config.json`` document and the hash of what it runs."""
     # Skip keys that older versions wrote and RunConfig no longer has (the
     # eval thread count, model sizes, thresholds, the batch size, the branch
-    # cap and the gate's epochs), so their run directories still load.
+    # cap and the gate's epochs), so their run directories still load.  The
+    # hash keeps them, so an older run hashes as it did when it was written.
     saved = doc["config"]
-    return RunConfig(**{k: saved[k] for k in RunConfig.__dataclass_fields__ if k in saved})
+    cfg = RunConfig(**{k: saved[k] for k in RunConfig.__dataclass_fields__ if k in saved})
+    return cfg, _hash_config({**saved, **asdict(cfg)})
 
 
 def _load_model(path: str, family: str):
@@ -297,14 +308,15 @@ def load_run(run_dir: str) -> RunArtifacts:
     another kind than the variant.
     """
     path = lambda name: os.path.join(run_dir, name)
-    cfg = _read_run_file(path("config.json"), _run_config)
+    cfg, config_hash = _read_run_file(path("config.json"), _run_config)
     dataset = load_dataset(path("dataset.jsonl"))
     kind = "sequences" if cfg.task in ("task1", "task2") else "labels"
     if dataset.kind != kind:
         raise ValidationError(f"{path('dataset.jsonl')}: task {cfg.task!r} needs {kind}, "
                               f"the file holds {dataset.kind}")
     train_ds, test_ds = tasks.split_train_test(dataset, cfg.split, cfg.seed)
-    art = RunArtifacts(cfg=cfg, dataset=dataset, train_split=train_ds, test_split=test_ds)
+    art = RunArtifacts(cfg=cfg, dataset=dataset, train_split=train_ds, test_split=test_ds,
+                       config_hash=config_hash)
     if cfg.variant == "baseline":
         art.baseline_model = _load_model(path("baseline.json"), "multilabel")
         return art
@@ -337,12 +349,11 @@ def _predict_sample(art: RunArtifacts, sample):
         if sequences:
             pred = frozenset((int(d),) for d in pred)
         return pred, 1, 0, False
-    if not sequences:
-        if cfg.variant == "scalar":
-            res = decode_set(art.base_model, art.penalty.value, sample.x, rho=cfg.rho)
-            return res.label_set, res.iterations, res.repeats, res.truncated
+    if not sequences:  # a label set is the one-position case of a sequence set
         logits = art.base_model.scores(np.asarray(sample.x, dtype=float)[None, :])[0]
-        return art.penalty.classifier.classify(logits, 1), 1, 0, False
+        labels, iterations, repeats, truncated = position_tokens(art.penalty, logits, 1,
+                                                                 rho=cfg.rho)
+        return frozenset(labels), iterations, repeats, truncated
     res = decode_sequence_set(art.base_model, art.penalty, sample.x, rho=cfg.rho)
     content = frozenset(seq[:-1] for seq in res.sequences)
     return content, res.iterations, res.repeats, res.truncated
@@ -386,7 +397,7 @@ def eval_run(art: RunArtifacts, out: str | None = None,
         out = _fresh_dir(out, marker="eval_report.json")
         doc = report.to_dict()
         doc["version"] = __version__
-        doc["config_hash"] = cfg.config_hash()
+        doc["config_hash"] = art.config_hash
         doc["variant"] = cfg.variant
         doc["task"] = cfg.task
         _write_json(os.path.join(out, "eval_report.json"), doc)
@@ -430,20 +441,23 @@ def reproduce(task: str, out: str, n: int = 1000, seed: int = 7, epochs: int | N
     """
     if task not in REPRODUCE_VARIANTS:
         raise ValidationError(f"unknown reproduce tag {task!r}")
-    out = _fresh_dir(out, marker="reproduce_report.json")
     epochs = epochs if epochs is not None else (60 if task != "multilabel-file" else 80)
+    # Every input is checked before the output directory is made.
+    configs = [RunConfig(task=task, variant=variant, n=n, seed=seed, epochs=epochs, data=data)
+               for variant in REPRODUCE_VARIANTS[task]]
+    dataset = _build_dataset(configs[0])
+    out = _fresh_dir(out, marker="reproduce_report.json")
     scores: dict[str, float] = {}
     reports: dict[str, dict] = {}
-    dataset: Dataset | None = None
     base_model = gate_examples = None
     metric = task_metric(task)
-    for variant in REPRODUCE_VARIANTS[task]:
-        cfg = RunConfig(task=task, variant=variant, n=n, seed=seed, epochs=epochs, data=data)
+    for cfg in configs:
+        variant = cfg.variant
         t0 = time.perf_counter()
         variant_dir = os.path.join(out, variant)
         art = train_run(cfg, dataset=dataset, out=variant_dir, base_model=base_model,
                         gate_examples=gate_examples)
-        dataset, gate_examples = art.dataset, art.gate_examples or gate_examples
+        gate_examples = art.gate_examples or gate_examples
         if art.base_model is not None:  # the baseline trains no base model
             base_model = art.base_model
         report = eval_run(art, out=variant_dir)
@@ -585,8 +599,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.cmd == "gen":
-            out = _fresh_dir(args.out or ".")
             spec = tasks.TaskSpec(task=args.task, n=args.n, seed=args.seed or 0)
+            out = _fresh_dir(args.out or ".")
             ds = tasks.generate(spec)
             path = os.path.join(out, f"{args.task}.jsonl")
             save_dataset(ds, path)
@@ -600,9 +614,9 @@ def main(argv: list[str] | None = None) -> int:
             print(path)
             return 0
         if args.cmd == "import":
-            out = _fresh_dir(args.out or ".")
             ds = tasks.load_multilabel(args.data, n_features=args.features,
                                        universe=args.universe)
+            out = _fresh_dir(args.out or ".")
             path = os.path.join(out, "imported.jsonl")
             save_dataset(ds, path)
             print(path)

@@ -7,10 +7,11 @@ the argmax walks down the posterior one new element at a time.  With
 repeats by running until total productions reach ``(1 + rho) x |distinct|``.
 
 Sequence sets: partial answers expand breadth-wise position by position.
-Each live partial gathers its continuation tokens either by the same
-penalized-argmax loop (per-position penalties, fresh memory per branch) or
-from a learned gate; end-of-sequence tokens move a branch into the completed
-set.  A branch whose gather comes back empty simply ends.
+Each live partial takes its continuation tokens from :func:`position_tokens`:
+the same penalized-argmax loop (per-position penalties, fresh memory per
+branch) or a learned gate.  A label set is the one-position case of that
+rule.  End-of-sequence tokens move a branch into the completed set; a branch
+whose tokens come back empty simply ends.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import nn
 from .core import TokenSeq, ValidationError
-from .models import content_hash
+from .models import DecoderSession, content_hash
 from .penalty import PenaltyParams
 
 GATHER_CAP_FACTOR = 4  # iteration cap: 4x the number of candidates
@@ -139,16 +140,33 @@ def verify_penalty_binding(model, penalty: PenaltyParams) -> None:
         )
 
 
+def position_tokens(penalty: PenaltyParams, logits: np.ndarray, position: int,
+                    prefix: TokenSeq = (), rho: float = 0.0):
+    """The tokens one output position emits from the base model's scores there.
+
+    A learned penalty's gate classifies the scores (reading ``prefix`` too,
+    if it wants it); any other penalty runs the penalized-argmax gather on
+    their softmax with that position's value and a fresh memory.  Returns
+    ``(tokens, iterations, repeats, truncated)``; the tokens are sorted for a
+    gate and in production order for a gather.
+    """
+    if penalty.variant == "learned":
+        return sorted(penalty.classifier.classify(logits, position, prefix)), 1, 0, False
+    state, trace, truncated = _gather(nn.softmax(logits), penalty.position_value(position),
+                                      rho, GATHER_CAP_FACTOR * len(logits))
+    return list(state.z), len(trace), len(trace) - len(state.z), truncated
+
+
 def decode_sequence_set(model, penalty: PenaltyParams, x, rho: float = 0.0,
                         max_branches: int = 1024) -> SequenceDecodeResult:
     """Breadth-wise set-of-sequences decode.
 
-    ``penalty`` must be per-position (each branch runs the penalized-argmax
-    gather with that position's value and a fresh memory) or learned (the
-    gate classifies each token directly).  Branches that reach the model's
+    ``penalty`` must be per-position or learned; each branch emits the
+    tokens :func:`position_tokens` picks.  Branches that reach the model's
     ``max_len`` without the end token are discarded and flagged; the live
     frontier is capped at ``max_branches`` to keep miscalibrated penalties
-    from expanding exponentially.
+    from expanding exponentially.  Branches are scored through one
+    ``DecoderSession``, so a branch the cap drops is never stepped.
     """
     if penalty.variant == "scalar":
         raise ValidationError("sequence decoding needs a per-position or learned penalty")
@@ -157,11 +175,9 @@ def decode_sequence_set(model, penalty: PenaltyParams, x, rho: float = 0.0,
     verify_penalty_binding(model, penalty)
     max_len = model.max_len
     eos = model.eos
-    h, c = model.encode(x)
-    logits0, h, c = model.decode_step(h, c, model.start)
-    vocab = logits0.shape[0]
+    session = DecoderSession(model, x)
     completed: set[TokenSeq] = set()
-    branches: list[tuple[TokenSeq, object, object, np.ndarray]] = [((), h, c, logits0)]
+    branches: list[TokenSeq] = [()]
     iterations = 0
     repeats = 0
     dead_ends = 0
@@ -169,20 +185,13 @@ def decode_sequence_set(model, penalty: PenaltyParams, x, rho: float = 0.0,
     overlong = 0
     truncated_gather = False
     for j in range(1, max_len + 1):
-        frontier: list[tuple[TokenSeq, object, object, np.ndarray]] = []
-        for prefix, h, c, logits in branches:
-            if penalty.variant == "learned":
-                tokens = sorted(penalty.classifier.classify(logits, j, prefix))
-                iterations += 1
-            else:
-                lam = penalty.position_value(j)
-                state, trace, trunc = _gather(
-                    nn.softmax(logits), lam, rho, GATHER_CAP_FACTOR * vocab
-                )
-                tokens = list(state.z)
-                iterations += len(trace)
-                repeats += len(trace) - len(state.z)
-                truncated_gather = truncated_gather or trunc
+        frontier: list[TokenSeq] = []
+        for prefix in branches:
+            tokens, iters, reps, trunc = position_tokens(
+                penalty, session.logits_for(prefix), j, prefix, rho)
+            iterations += iters
+            repeats += reps
+            truncated_gather = truncated_gather or trunc
             if not tokens:
                 dead_ends += 1
                 continue
@@ -190,8 +199,7 @@ def decode_sequence_set(model, penalty: PenaltyParams, x, rho: float = 0.0,
                 if tok == eos:
                     completed.add(prefix + (eos,))
                 elif j < max_len:
-                    logits_n, h_n, c_n = model.decode_step(h, c, tok)
-                    frontier.append((prefix + (tok,), h_n, c_n, logits_n))
+                    frontier.append(prefix + (tok,))
                 else:
                     overlong += 1
         if len(frontier) > max_branches:

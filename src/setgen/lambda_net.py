@@ -266,22 +266,29 @@ class LambdaNet:
 
 
 def build_lambda_training_set(model, dataset: Dataset) -> GateExamples:
-    """One example per (sample, distinct ground-truth prefix) of a sequence dataset.
+    """Gate examples: one per (sample, distinct ground-truth prefix).
 
-    Targets come from prefix continuation; the logit vector is the base
-    model's teacher-forced score at that prefix.  Positives are rare, so the
-    class balance is logged for the loss weighting downstream.
+    A sequence sample gives one example per teacher-forced prefix, whose
+    targets are the tokens that continue some target.  A label sample is the
+    one-position case: one example at position 1 whose targets are its label
+    set, with the scores of one batched ``model.scores`` call over the
+    dataset.  Positives are rare, so the class balance is logged for the loss
+    weighting downstream.
     """
-    if dataset.kind != "sequences":
-        raise ValidationError("gate training data requires a sequence dataset")
-    logits, positions, nexts_of = [], [], []
-    for sample in dataset.samples:
-        if not sample.y:
-            continue
-        for prefix, row, nexts in prefix_nodes(model, sample):
-            logits.append(row)
-            positions.append(len(prefix) + 1)
-            nexts_of.append(nexts)
+    if dataset.kind == "labels":
+        n = len(dataset.samples)
+        X = np.asarray([s.x for s in dataset.samples], dtype=float).reshape(n, dataset.input_dim)
+        logits, positions = model.scores(X), np.ones(n, dtype=int)
+        nexts_of = [list(s.y) for s in dataset.samples]
+    else:
+        logits, positions, nexts_of = [], [], []
+        for sample in dataset.samples:
+            if not sample.y:
+                continue
+            for prefix, row, nexts in prefix_nodes(model, sample):
+                logits.append(row)
+                positions.append(len(prefix) + 1)
+                nexts_of.append(nexts)
     targets = np.zeros((len(nexts_of), dataset.universe))
     for i, nexts in enumerate(nexts_of):
         targets[i, nexts] = 1.0
@@ -290,18 +297,6 @@ def build_lambda_training_set(model, dataset: Dataset) -> GateExamples:
         log.info("gate training set: %d examples, %.1f%% positive tokens",
                  len(examples), 100.0 * np.mean(targets))
     return examples
-
-
-def build_label_lambda_training_set(model, dataset: Dataset) -> GateExamples:
-    """Gate examples for a label task: one position, targets are the label sets."""
-    if dataset.kind != "labels":
-        raise ValidationError("expected a label dataset")
-    n = len(dataset.samples)
-    X = np.asarray([s.x for s in dataset.samples], dtype=float).reshape(n, dataset.input_dim)
-    targets = np.zeros((n, dataset.universe))
-    for i, sample in enumerate(dataset.samples):
-        targets[i, list(sample.y_set)] = 1.0
-    return GateExamples(model.scores(X), np.ones(n, dtype=int), targets)
 
 
 def gate_accuracy(gate: LambdaNet, examples: GateExamples) -> float | None:

@@ -37,13 +37,10 @@ class TrainConfig:
     batch_size: int = 15
     epochs: int = 200
     seed: int = 0
-    hidden_sizes: tuple[int, ...] = (64,)
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0 or self.batch_size <= 0 or self.epochs <= 0:
             raise ValidationError("learning rate, batch size, and epochs must be positive")
-        if any(h <= 0 for h in self.hidden_sizes):
-            raise ValidationError("hidden sizes must be positive")
 
 
 # --- checkpoints ---------------------------------------------------------------
@@ -132,7 +129,7 @@ class _Mlp:
 
     def __init__(self, input_dim: int, output_dim: int,
                  hidden_sizes: tuple[int, ...] = (64,), seed: int = 0):
-        if input_dim <= 0 or output_dim <= 0:
+        if input_dim <= 0 or output_dim <= 0 or any(h <= 0 for h in hidden_sizes):
             raise ValidationError("model dimensions must be positive")
         self.input_dim = int(input_dim)
         self.output_dim = int(output_dim)
@@ -405,12 +402,12 @@ class SequenceModel:
 
 
 class DecoderSession:
-    """Memoized teacher-forced inference over one input; the one prefix scorer.
+    """Memoized prefix scoring over one input; the one prefix scorer.
 
     Encodes once and caches the decoder state behind every queried prefix, so
-    walking all prefixes of a target set costs one recurrent step per trie
-    node instead of a full re-encode per prefix.  Works with any model
-    exposing ``encode``, ``decode_step`` and ``start``.
+    walking all prefixes of a target set, or a decoder's frontier, costs one
+    recurrent step per trie node instead of a full re-encode per prefix.
+    Works with any model exposing ``encode``, ``decode_step`` and ``start``.
     """
 
     def __init__(self, model, x: TokenSeq):
@@ -458,8 +455,12 @@ def _run_epochs(model, batches_of, n_items: int, cfg: TrainConfig,
     return model
 
 
-def train_label_model(flat: list[FlatPair], cfg: TrainConfig, n_labels: int) -> LabelModel:
-    """Fit the softmax classifier on flattened (input, element) pairs."""
+def train_label_model(flat: list[FlatPair], cfg: TrainConfig, n_labels: int,
+                      **sizes) -> LabelModel:
+    """Fit the softmax classifier on flattened (input, element) pairs.
+
+    ``sizes`` may hold ``hidden_sizes``; omitted, it takes :class:`LabelModel`'s default.
+    """
     if not flat:
         raise ValidationError("no training pairs")
     if not all(isinstance(p.y_elem, int) for p in flat):
@@ -467,12 +468,19 @@ def train_label_model(flat: list[FlatPair], cfg: TrainConfig, n_labels: int) -> 
     X = np.asarray([p.x for p in flat], dtype=float)
     y = np.asarray([p.y_elem for p in flat], dtype=int)
     rng = np.random.default_rng(cfg.seed)
-    model = LabelModel(X.shape[1], n_labels, cfg.hidden_sizes, seed=cfg.seed)
+    model = LabelModel(X.shape[1], n_labels, **sizes, seed=cfg.seed)
     return _run_epochs(model, lambda idx: (X[idx], y[idx]), len(flat), cfg, rng)
 
 
-def train_multilabel_baseline(dataset: Dataset, cfg: TrainConfig) -> MultiLabelBaseline:
-    """Fit the per-label sigmoid baseline on whole samples (multi-hot targets)."""
+def train_multilabel_baseline(dataset: Dataset, cfg: TrainConfig,
+                              **sizes) -> MultiLabelBaseline:
+    """Fit the per-label sigmoid baseline on whole samples (multi-hot targets).
+
+    ``sizes`` may hold ``hidden_sizes``; omitted, it takes
+    :class:`MultiLabelBaseline`'s default.  The threshold is always the model's own.
+    """
+    if set(sizes) - {"hidden_sizes"}:
+        raise ValidationError(f"unknown size keywords {sorted(set(sizes) - {'hidden_sizes'})}")
     if dataset.kind != "labels":
         raise ValidationError("the multi-label baseline applies to label tasks only")
     X = np.asarray([s.x for s in dataset.samples], dtype=float)
@@ -481,7 +489,7 @@ def train_multilabel_baseline(dataset: Dataset, cfg: TrainConfig) -> MultiLabelB
         for lab in s.y:
             Y[i, lab] = 1.0
     rng = np.random.default_rng(cfg.seed)
-    model = MultiLabelBaseline(X.shape[1], dataset.universe, cfg.hidden_sizes, seed=cfg.seed)
+    model = MultiLabelBaseline(X.shape[1], dataset.universe, **sizes, seed=cfg.seed)
     return _run_epochs(model, lambda idx: (X[idx], Y[idx]), len(dataset.samples), cfg, rng)
 
 

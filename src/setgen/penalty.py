@@ -266,37 +266,13 @@ def solve_lambda(records: list[MarginRecord]) -> LambdaSolution:
                           objective=_objective(diffs, lam))
 
 
-def position_candidates(targets, prefix: TokenSeq, vocab: int
-                        ) -> tuple[frozenset[int], frozenset[int]]:
-    """Positive and negative token sets at the position following ``prefix``.
-
-    A token is positive when appending it to the prefix still matches some
-    target; because complete targets end in the end-of-sequence token, a
-    prefix that spells out a full target gets the end token as a positive.
-    """
-    targets = list(targets)
-    if not targets:
-        raise ValidationError("position_candidates requires a non-empty target set")
-    k = len(prefix)
-    positives = set()
-    matched = False
-    for t in targets:
-        if len(t) > k and tuple(t[:k]) == tuple(prefix):
-            matched = True
-            positives.add(int(t[k]))
-    if not matched:
-        raise ValidationError(f"prefix {prefix!r} matches no target")
-    negatives = frozenset(range(vocab)) - positives
-    return frozenset(positives), negatives
-
-
 def prefix_nodes(model, sample: SetSample):
     """Teacher-forced walk over the distinct prefixes of one sample's targets.
 
     Yields ``(prefix, logits, nexts)`` in sorted prefix order from one
     ``DecoderSession``; ``nexts`` holds the next token of every target that
-    extends the prefix, one entry per target, so ``set(nexts)`` is the
-    positive set of :func:`position_candidates`.
+    extends the prefix, one entry per target, so ``set(nexts)`` is the set
+    of tokens that keep the prefix on some target.
     """
     nexts: dict[TokenSeq, list[int]] = {}
     for target in sample.y:

@@ -67,13 +67,11 @@ def task2_truth(x: str) -> frozenset[str]:
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """What to generate: task tag, sample count, input-length bounds, seed."""
+    """What to generate: task tag, sample count, seed."""
 
     task: str  # "threshold" | "task1" | "task2"
     n: int
     seed: int = 0
-    min_len: int = 2  # task1 only
-    max_len: int = 10  # task1 only
 
     def __post_init__(self) -> None:
         if self.n <= 0:
@@ -82,8 +80,6 @@ class TaskSpec:
             raise ValidationError("seed must be non-negative")
         if self.task not in ("threshold", "task1", "task2"):
             raise ValidationError(f"unknown task {self.task!r}")
-        if self.task == "task1" and not 1 <= self.min_len <= self.max_len:
-            raise ValidationError("task1 length bounds must satisfy 1 <= min <= max")
 
 
 def generate(spec: TaskSpec) -> Dataset:
@@ -101,13 +97,11 @@ def generate(spec: TaskSpec) -> Dataset:
             samples.append(SetSample(x=(x,), y=tuple(sorted(threshold_truth(x)))))
         return Dataset(kind="labels", samples=tuple(samples), universe=11, input_dim=1)
     if spec.task == "task1":
-        if spec.max_len < 9:
-            raise ValidationError("task1 max_len must be >= 9 so every leading digit fits")
         for _ in range(spec.n):
             m = int(rng.integers(1, 10))
-            # Length is drawn conditionally on m so |x| >= m always holds
-            # while the leading digit stays uniform on 1..9.
-            length = int(rng.integers(max(spec.min_len, m), spec.max_len + 1))
+            # Length is drawn from 2..10 conditionally on m so |x| >= m always
+            # holds while the leading digit stays uniform on 1..9.
+            length = int(rng.integers(max(2, m), 11))
             rest = rng.integers(0, 10, size=length - 1)
             x = str(m) + "".join(str(d) for d in rest)
             y = tuple(sorted(seq_from_str(str(d), DIGIT_VOCAB) for d in task1_truth(x)))

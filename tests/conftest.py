@@ -1,8 +1,31 @@
 import numpy as np
 import pytest
 
-from setgen.core import Dataset, SetSample, ValidationError
-from setgen.penalty import position_candidates
+from setgen.core import Dataset, SetSample, TokenSeq, ValidationError
+
+
+def position_candidates(targets, prefix: TokenSeq, vocab: int
+                        ) -> tuple[frozenset[int], frozenset[int]]:
+    """Positive and negative token sets at the position following ``prefix``.
+
+    A token is positive when appending it to the prefix still matches some
+    target; because complete targets end in the end-of-sequence token, a
+    prefix that spells out a full target gets the end token as a positive.
+    """
+    targets = list(targets)
+    if not targets:
+        raise ValidationError("position_candidates requires a non-empty target set")
+    k = len(prefix)
+    positives = set()
+    matched = False
+    for t in targets:
+        if len(t) > k and tuple(t[:k]) == tuple(prefix):
+            matched = True
+            positives.add(int(t[k]))
+    if not matched:
+        raise ValidationError(f"prefix {prefix!r} matches no target")
+    negatives = frozenset(range(vocab)) - positives
+    return frozenset(positives), negatives
 
 
 class OracleLabelPosterior:
@@ -21,6 +44,11 @@ class OracleLabelPosterior:
         for m in members:
             probs[m] = 1.0 / len(members)
         return probs
+
+    def scores(self, X):
+        """Log-posterior rows, whose softmax is the posterior exactly."""
+        with np.errstate(divide="ignore"):
+            return np.log([self.posterior(tuple(x)) for x in np.atleast_2d(X).tolist()])
 
 
 class PositiveTokenOracle:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import inspect
 import io
 import json
@@ -201,16 +202,35 @@ def test_eval_oracle_fixture_scores_perfectly(tmp_path):
                          ids=["threads", "max_branches", "gate_hidden"])
 def test_load_run_drops_removed_config_keys(tmp_path, key, value):
     # older run directories store keys RunConfig no longer has: the eval
-    # thread count, and the sizes and caps that are now library defaults
+    # thread count, and the sizes and caps that are now library defaults;
+    # their stored hash covers those keys, and eval reports it unchanged
     cfg = RunConfig(task="threshold", variant="scalar", n=40, epochs=2, seed=5)
     out = tmp_path / "run"
     train_run(cfg, out=str(out))
     path = out / "config.json"
     doc = json.loads(read(path))
     doc["config"][key] = value
+    blob = json.dumps(doc["config"], sort_keys=True, separators=(",", ":")).encode()
+    doc["config_hash"] = hashlib.sha256(blob).hexdigest()
     path.write_text(json.dumps(doc))
     assert load_run(str(out)).cfg == cfg
     assert main(["eval", "--run", str(out), "--out", str(tmp_path / "e")]) == 0
+    report = json.loads(read(tmp_path / "e" / "eval_report.json"))
+    assert report["config_hash"] == doc["config_hash"] != cfg.config_hash()
+
+
+def test_eval_reports_the_hash_of_the_config_it_ran(tmp_path):
+    # a dropped key takes its default, so the evaluated config is not the stored one
+    out = tmp_path / "run"
+    train_run(RunConfig(task="threshold", variant="scalar", n=40, epochs=2, seed=5),
+              out=str(out))
+    path = out / "config.json"
+    doc = json.loads(read(path))
+    del doc["config"]["seed"]
+    path.write_text(json.dumps(doc))
+    assert main(["eval", "--run", str(out), "--out", str(tmp_path / "e")]) == 0
+    report = json.loads(read(tmp_path / "e" / "eval_report.json"))
+    assert report["config_hash"] == load_run(str(out)).cfg.config_hash() != doc["config_hash"]
 
 
 def _arch_defaults(cls) -> dict:
@@ -275,13 +295,15 @@ def test_eval_refuses_a_model_of_another_family_than_the_dataset(tmp_path, capsy
 
 @pytest.fixture(scope="module")
 def saved_runs(tmp_path_factory):
-    """One small trained run directory per penalty variant."""
+    """One small trained run directory per (task, penalty variant) pair."""
+    pairs = [("task1" if variant == "per-position" else "threshold", variant)
+             for variant in VARIANTS]
+    pairs += [("task1", "learned-recurrent"), ("task1", "learned-windowed")]
     runs = {}
-    for variant in VARIANTS:
-        task = "task1" if variant == "per-position" else "threshold"
+    for task, variant in pairs:
         out = tmp_path_factory.mktemp(variant) / "run"
         train_run(RunConfig(task=task, variant=variant, n=20, epochs=1, seed=2), out=str(out))
-        runs[variant] = str(out)
+        runs[f"{task}-{variant}"] = str(out)
     return runs
 
 
@@ -295,10 +317,10 @@ def _key_paths(doc, prefix=()):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_eval_of_a_corrupted_run_exits_0_or_1_with_one_error_line(saved_runs, data):
-    variant = data.draw(st.sampled_from(VARIANTS), label="variant")
+    name = data.draw(st.sampled_from(sorted(saved_runs)), label="run")
     with tempfile.TemporaryDirectory() as tmp:
         run = os.path.join(tmp, "run")
-        shutil.copytree(saved_runs[variant], run)
+        shutil.copytree(saved_runs[name], run)
         fname = data.draw(st.sampled_from(sorted(os.listdir(run))), label="file")
         path = os.path.join(run, fname)
         op = data.draw(st.sampled_from(("delete", "truncate", "drop-key", "retype",
@@ -525,6 +547,9 @@ def test_run_config_validation():
         RunConfig(task="task2", variant="scalar")
     with pytest.raises(ValidationError, match="not applicable"):
         RunConfig(task="threshold", variant="per-position")
+    for bad in ({"n": 0}, {"epochs": 0}, {"learning_rate": 0.0}):
+        with pytest.raises(ValidationError):
+            RunConfig(task="threshold", variant="scalar", **bad)
 
 
 def test_run_config_holds_the_nine_run_settings():
@@ -554,6 +579,19 @@ def test_a_negative_seed_ends_in_one_error_line(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: seed must be non-negative"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce", "task1", "--seed", "-1"],
+    ["reproduce", "task1", "--n", "0"],
+    ["reproduce", "task1", "--epochs", "0"],
+    ["gen", "--task", "task1", "--n", "5", "--seed", "-1"],
+    ["gen", "--task", "task1", "--n", "0"],
+], ids=["reproduce-seed", "reproduce-n", "reproduce-epochs", "gen-seed", "gen-n"])
+def test_a_refused_input_leaves_no_output_directory(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_eval_refuses_edit_distance_on_a_label_run(tmp_path, capsys):

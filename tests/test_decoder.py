@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from setgen import nn
 from setgen.core import Dataset, SetSample, ValidationError, seq_from_str
 from setgen.decoder import (
     DecodeState,
     decode_sequence_set,
     decode_set,
     penalized_argmax,
+    position_tokens,
     verify_penalty_binding,
 )
 from setgen.models import SequenceModel
@@ -17,7 +19,12 @@ from setgen.penalty import (
     solve_lambda,
     solve_lambda_per_position,
 )
-from tests.conftest import OracleLabelPosterior, PositiveTokenOracle, greedy_decode
+from tests.conftest import (
+    OracleLabelPosterior,
+    PositiveTokenOracle,
+    PrefixStepper,
+    greedy_decode,
+)
 from tests.test_penalty import OracleStepper, seq_dataset
 
 
@@ -167,6 +174,18 @@ def test_oracle_posterior_with_calibrated_penalty_is_exact():
         assert res.label_set == s.y_set
 
 
+@pytest.mark.parametrize("rho", [0.0, 0.5])
+def test_position_tokens_on_a_scalar_penalty_match_decode_set(rho):
+    # the label-set decode is the one-position case of the sequence rule
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        logits = rng.normal(scale=2.0, size=int(rng.integers(2, 12)))
+        lam = float(rng.uniform(-0.2, 0.6))
+        res = decode_set(Posterior(nn.softmax(logits)), lam, None, rho=rho)
+        got = position_tokens(PenaltyParams(variant="scalar", value=lam), logits, 1, rho=rho)
+        assert got == (list(res.labels), res.iterations, res.repeats, res.truncated)
+
+
 # --- stopping criterion ------------------------------------------------------------
 
 
@@ -288,6 +307,30 @@ def test_sequence_decode_branch_cap_reports_drops():
     assert res.dropped_branches > 0
     assert res.truncated
     assert res.sequences == frozenset()
+
+
+class CountingStepper(PrefixStepper):
+    """Flat scores over a dataset's targets; counts its decoder steps."""
+
+    steps = 0
+
+    def decode_step(self, h, c, token):
+        self.steps += 1
+        return super().decode_step(h, c, token)
+
+    def logits(self, positives):
+        return np.zeros(self.vocab)
+
+
+def test_sequence_decode_steps_only_the_branches_the_cap_keeps():
+    # 100 two-digit targets: the oracle gate floods each position with 10 tokens
+    ds = seq_dataset([[f"{a}{b}" for a in range(10) for b in range(10)]], max_len=3)
+    model = CountingStepper(ds)
+    (sample,) = ds.samples
+    res = decode_sequence_set(model, oracle_penalty(sample.y), sample.x, max_branches=2)
+    assert res.dropped_branches == 8 + 18
+    assert len(res.sequences) == 2
+    assert model.steps == 1 + 2 + 2  # the start token, then each kept branch once
 
 
 def test_sequence_decode_determinism():

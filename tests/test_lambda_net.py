@@ -10,7 +10,6 @@ from setgen.lambda_net import (
     LambdaNet,
     _features,
     build_lambda_training_set,
-    build_label_lambda_training_set,
     gate_accuracy,
     train_lambda_net,
 )
@@ -126,7 +125,7 @@ def test_label_training_set_targets_are_label_sets():
     ds = Dataset(kind="labels",
                  samples=(SetSample(x=(0.0, 1.0), y=(0, 2)),), universe=3, input_dim=2)
     model = LabelModel(2, 3, (4,), seed=0)
-    ex = build_label_lambda_training_set(model, ds)
+    ex = build_lambda_training_set(model, ds)
     assert ex.targets.tolist() == [[1, 0, 1]]
     assert ex.positions.tolist() == [1]
     assert np.array_equal(ex.logits, model.scores(np.array([[0.0, 1.0]])))

@@ -79,9 +79,8 @@ def test_separable_classes_reach_perfect_accuracy():
         x = tuple(rng.normal(loc=(3.0 if cls else -3.0), scale=0.5, size=2).tolist())
         xs.append((x, cls))
         pairs.append(FlatPair(x=x, y_elem=cls, group_id=i))
-    cfg = TrainConfig(learning_rate=5e-2, batch_size=20, epochs=40, seed=0,
-                      hidden_sizes=(8,))
-    m = train_label_model(pairs, cfg, n_labels=2)
+    cfg = TrainConfig(learning_rate=5e-2, batch_size=20, epochs=40, seed=0)
+    m = train_label_model(pairs, cfg, n_labels=2, hidden_sizes=(8,))
     held_out = [(tuple(rng.normal(loc=(3.0 if c else -3.0), scale=0.5, size=2).tolist()), c)
                 for c in (0, 1) for _ in range(25)]
     acc = np.mean([int(np.argmax(m.posterior(x))) == c for x, c in held_out])
@@ -92,8 +91,8 @@ def test_multi_target_input_splits_posterior_mass():
     # one input flattened into targets {A, B} over {A, B, C}
     x = (1.0, 0.0)
     pairs = [FlatPair(x=x, y_elem=0, group_id=0), FlatPair(x=x, y_elem=1, group_id=0)]
-    cfg = TrainConfig(learning_rate=0.1, batch_size=2, epochs=300, seed=0, hidden_sizes=(4,))
-    m = train_label_model(pairs, cfg, n_labels=3)
+    cfg = TrainConfig(learning_rate=0.1, batch_size=2, epochs=300, seed=0)
+    m = train_label_model(pairs, cfg, n_labels=3, hidden_sizes=(4,))
     probs = m.posterior(x)
     assert probs == pytest.approx([0.5, 0.5, 0.0], abs=0.05)
 
@@ -102,8 +101,8 @@ def test_training_loss_is_nonincreasing_overall():
     rng = np.random.default_rng(5)
     pairs = [FlatPair(x=tuple(rng.normal(size=3).tolist()), y_elem=int(rng.integers(3)),
                       group_id=i) for i in range(60)]
-    cfg = TrainConfig(learning_rate=1e-2, batch_size=60, epochs=30, seed=1, hidden_sizes=(6,))
-    m = train_label_model(pairs, cfg, n_labels=3)
+    cfg = TrainConfig(learning_rate=1e-2, batch_size=60, epochs=30, seed=1)
+    m = train_label_model(pairs, cfg, n_labels=3, hidden_sizes=(6,))
     # full-batch training: loss decreases monotonically up to tiny numerical slack
     diffs = np.diff(m.train_losses)
     assert np.all(diffs <= 1e-6)
@@ -113,9 +112,9 @@ def test_training_is_bit_deterministic():
     rng = np.random.default_rng(6)
     pairs = [FlatPair(x=tuple(rng.normal(size=3).tolist()), y_elem=int(rng.integers(4)),
                       group_id=i) for i in range(40)]
-    cfg = TrainConfig(learning_rate=1e-3, batch_size=7, epochs=5, seed=9, hidden_sizes=(5,))
-    m1 = train_label_model(pairs, cfg, n_labels=4)
-    m2 = train_label_model(pairs, cfg, n_labels=4)
+    cfg = TrainConfig(learning_rate=1e-3, batch_size=7, epochs=5, seed=9)
+    m1 = train_label_model(pairs, cfg, n_labels=4, hidden_sizes=(5,))
+    m2 = train_label_model(pairs, cfg, n_labels=4, hidden_sizes=(5,))
     for k in m1.params:
         assert np.array_equal(m1.params[k], m2.params[k])
     assert m1.train_losses == m2.train_losses
@@ -127,9 +126,9 @@ def test_divergence_raises_training_error():
     pairs = [FlatPair(x=(1e3, -1e3), y_elem=1, group_id=0),
              FlatPair(x=(-1e3, 1e3), y_elem=0, group_id=1)]
     # one step at this rate overflows the weights; the next loss is non-finite
-    cfg = TrainConfig(learning_rate=1e308, batch_size=2, epochs=3, seed=0, hidden_sizes=())
+    cfg = TrainConfig(learning_rate=1e308, batch_size=2, epochs=3, seed=0)
     with pytest.raises(TrainingError, match="epoch"):
-        train_label_model(pairs, cfg, n_labels=2)
+        train_label_model(pairs, cfg, n_labels=2, hidden_sizes=())
 
 
 def test_adam_in_place_step_matches_textbook_update():
@@ -199,13 +198,13 @@ def _fit_sequence_model():
 
 FAMILY_FITS = {
     "label": lambda: train_label_model(
-        _label_pairs(), TrainConfig(learning_rate=1e-2, batch_size=7, epochs=5, seed=9,
-                                    hidden_sizes=(5,)), n_labels=4),
+        _label_pairs(), TrainConfig(learning_rate=1e-2, batch_size=7, epochs=5, seed=9),
+        n_labels=4, hidden_sizes=(5,)),
     "baseline": lambda: train_multilabel_baseline(
         Dataset(kind="labels", universe=4, input_dim=3, samples=tuple(
             SetSample(x=p.x, y=tuple(sorted({p.y_elem, (p.y_elem + 1) % 4})))
             for p in _label_pairs())),
-        TrainConfig(learning_rate=1e-2, batch_size=7, epochs=5, seed=9, hidden_sizes=(5,))),
+        TrainConfig(learning_rate=1e-2, batch_size=7, epochs=5, seed=9), hidden_sizes=(5,)),
     "sequence": _fit_sequence_model,
     "gate-recurrent": lambda: train_lambda_net(
         _gate_examples(), "recurrent", TrainConfig(learning_rate=1e-2, batch_size=8, epochs=4,
@@ -289,10 +288,13 @@ def test_baseline_learns_constant_label():
         for _ in range(40)
     )
     ds = Dataset(kind="labels", samples=samples, universe=3, input_dim=3)
-    cfg = TrainConfig(learning_rate=5e-2, batch_size=10, epochs=60, seed=0, hidden_sizes=(6,))
-    m = train_multilabel_baseline(ds, cfg)
+    cfg = TrainConfig(learning_rate=5e-2, batch_size=10, epochs=60, seed=0)
+    m = train_multilabel_baseline(ds, cfg, hidden_sizes=(6,))
     for s in samples[:10]:
         assert m.probabilities(s.x)[1] >= m.threshold
+    # the threshold is the model's own, not a training keyword
+    with pytest.raises(ValidationError, match="threshold"):
+        train_multilabel_baseline(ds, cfg, threshold=0.3)
 
 
 # --- sequence model --------------------------------------------------------------

@@ -16,12 +16,11 @@ from setgen.penalty import (
     _hinge_objective,
     margin_records,
     margin_stats,
-    position_candidates,
     prefix_nodes,
     solve_lambda,
     solve_lambda_per_position,
 )
-from tests.conftest import PrefixStepper
+from tests.conftest import PrefixStepper, position_candidates
 
 GRID = np.arange(-1.0, 1.0 + 1e-4, 1e-4)
 
