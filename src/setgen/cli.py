@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import os
 import sys
@@ -29,6 +28,7 @@ from .core import (
     TrainingError,
     ValidationError,
     flatten,
+    json_hash,
     load_dataset,
     save_dataset,
     seq_to_str,
@@ -52,7 +52,15 @@ from .models import (
 from .penalty import PenaltyParams, margin_stats, solve_lambda, solve_lambda_per_position
 
 VARIANTS = ("scalar", "per-position", "learned-recurrent", "learned-windowed", "baseline")
-TASKS = ("threshold", "task1", "task2", "multilabel-file")
+# Each task's set kind and the variants that apply to it, in reproduce's column order.
+TASKS = {
+    "threshold": ("labels", ("baseline", "scalar", "learned-recurrent", "learned-windowed")),
+    "task1": ("sequences", ("baseline", "per-position", "learned-recurrent", "learned-windowed")),
+    "task2": ("sequences", ("per-position", "learned-recurrent", "learned-windowed")),
+    "multilabel-file": ("labels", ("baseline", "scalar", "learned-recurrent",
+                                   "learned-windowed")),
+}
+REPRODUCE_TAGS = ("task1", "task2", "multilabel-file")
 GATE_FILE = "gate.json"  # the learned penalty's classifier, beside penalty.json
 _FIELD_TYPES = {"int": int, "float": (int, float), "str": str}  # RunConfig's annotations
 
@@ -97,23 +105,20 @@ class RunConfig:
             raise ValidationError("split fraction must lie in (0, 1)")
         if self.task == "multilabel-file" and not self.data:
             raise ValidationError("multilabel-file runs need --data")
-        if self.task == "task2" and self.variant == "baseline":
-            raise ValidationError(
-                "not applicable: the multi-label baseline cannot emit sequence sets"
-            )
-        sequence_task = self.task in ("task1", "task2")
-        if self.variant == "scalar" and sequence_task:
-            raise ValidationError("not applicable: sequence sets need a per-position penalty")
-        if self.variant == "per-position" and not sequence_task:
-            raise ValidationError("not applicable: label sets need a scalar penalty")
+        applicable = TASKS[self.task][1]
+        if self.variant not in applicable:
+            raise ValidationError(f"not applicable: task {self.task!r} runs "
+                                  f"{', '.join(applicable)}, not {self.variant!r}")
 
     def config_hash(self) -> str:
-        return _hash_config(asdict(self))
+        return json_hash(asdict(self))
 
 
-def _hash_config(config: dict) -> str:
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+def _check_kind(cfg: RunConfig, dataset: Dataset, source: str = "the dataset") -> None:
+    """Refuse a dataset whose set kind is not the one the config's task holds."""
+    kind = TASKS[cfg.task][0]
+    if dataset.kind != kind:
+        raise ValidationError(f"task {cfg.task!r} needs {kind}, {source} holds {dataset.kind}")
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -177,6 +182,7 @@ def train_run(cfg: RunConfig, dataset: Dataset | None = None, out: str | None = 
     reused instead of fitted, and the report says so; so are ``gate_examples``.
     """
     dataset = dataset if dataset is not None else _build_dataset(cfg)
+    _check_kind(cfg, dataset)
     train_ds, test_ds = tasks.split_train_test(dataset, cfg.split, cfg.seed)
     art = RunArtifacts(cfg=cfg, dataset=dataset, train_split=train_ds, test_split=test_ds)
     report: dict = {
@@ -289,7 +295,7 @@ def _run_config(doc) -> tuple[RunConfig, str]:
     # hash keeps them, so an older run hashes as it did when it was written.
     saved = doc["config"]
     cfg = RunConfig(**{k: saved[k] for k in RunConfig.__dataclass_fields__ if k in saved})
-    return cfg, _hash_config({**saved, **asdict(cfg)})
+    return cfg, json_hash({**saved, **asdict(cfg)})
 
 
 def _load_model(path: str, family: str):
@@ -310,10 +316,7 @@ def load_run(run_dir: str) -> RunArtifacts:
     path = lambda name: os.path.join(run_dir, name)
     cfg, config_hash = _read_run_file(path("config.json"), _run_config)
     dataset = load_dataset(path("dataset.jsonl"))
-    kind = "sequences" if cfg.task in ("task1", "task2") else "labels"
-    if dataset.kind != kind:
-        raise ValidationError(f"{path('dataset.jsonl')}: task {cfg.task!r} needs {kind}, "
-                              f"the file holds {dataset.kind}")
+    _check_kind(cfg, dataset, path("dataset.jsonl"))
     train_ds, test_ds = tasks.split_train_test(dataset, cfg.split, cfg.seed)
     art = RunArtifacts(cfg=cfg, dataset=dataset, train_split=train_ds, test_split=test_ds,
                        config_hash=config_hash)
@@ -321,7 +324,7 @@ def load_run(run_dir: str) -> RunArtifacts:
         art.baseline_model = _load_model(path("baseline.json"), "multilabel")
         return art
     art.base_model = _load_model(path("model.json"),
-                                 "label" if kind == "labels" else "sequence")
+                                 "label" if dataset.kind == "labels" else "sequence")
     art.penalty = _read_run_file(path("penalty.json"), PenaltyParams.from_dict)
     penalty = "learned" if cfg.variant.startswith("learned") else cfg.variant
     if art.penalty.variant != penalty:
@@ -343,8 +346,8 @@ def _predict_sample(art: RunArtifacts, sample):
     """Decode one sample into (predicted set of hashables, iterations, repeats, truncated)."""
     cfg = art.cfg
     sequences = art.dataset.kind == "sequences"
-    if cfg.variant == "baseline":
-        x = tasks.featurize_digits(sample.x, 10) if sequences else sample.x  # task1: label view
+    if cfg.variant == "baseline":  # on task1, through the label view's features
+        x = tasks.featurize_digits(sample.x, tasks.TASK1_MAX_INPUT_LEN) if sequences else sample.x
         pred = art.baseline_model.predict_set(x)
         if sequences:
             pred = frozenset((int(d),) for d in pred)
@@ -416,11 +419,6 @@ def eval_run(art: RunArtifacts, out: str | None = None,
 # --- reproduce pipelines ----------------------------------------------------------
 
 
-REPRODUCE_VARIANTS = {
-    "task1": ("baseline", "per-position", "learned-recurrent", "learned-windowed"),
-    "task2": ("per-position", "learned-recurrent", "learned-windowed"),
-    "multilabel-file": ("baseline", "scalar", "learned-recurrent", "learned-windowed"),
-}
 COLUMN_NAMES = {
     "baseline": "multi-label",
     "scalar": "ssg-s",
@@ -439,12 +437,12 @@ def reproduce(task: str, out: str, n: int = 1000, seed: int = 7, epochs: int | N
     Returns (report, all_criteria_pass).  Absolute scores depend on the
     pinned seed and schedule; only orderings are asserted.
     """
-    if task not in REPRODUCE_VARIANTS:
+    if task not in REPRODUCE_TAGS:
         raise ValidationError(f"unknown reproduce tag {task!r}")
     epochs = epochs if epochs is not None else (60 if task != "multilabel-file" else 80)
     # Every input is checked before the output directory is made.
     configs = [RunConfig(task=task, variant=variant, n=n, seed=seed, epochs=epochs, data=data)
-               for variant in REPRODUCE_VARIANTS[task]]
+               for variant in TASKS[task][1]]
     dataset = _build_dataset(configs[0])
     out = _fresh_dir(out, marker="reproduce_report.json")
     scores: dict[str, float] = {}
@@ -480,7 +478,7 @@ def reproduce(task: str, out: str, n: int = 1000, seed: int = 7, epochs: int | N
         "seed": seed,
         "epochs": epochs,
         "columns": {COLUMN_NAMES[v]: scores[v] for v in scores},
-        "not_applicable": ["multi-label"] if task == "task2" else [],
+        "not_applicable": [] if "baseline" in TASKS[task][1] else ["multi-label"],
         "criteria": [{"name": name, "pass": ok} for name, ok in criteria],
         "reports": reports,
     }
@@ -516,11 +514,13 @@ def _criteria(task: str, scores: dict[str, float]) -> list[tuple[str, bool]]:
 def _table(task: str, scores: dict[str, float]) -> tuple[list[str], list]:
     """Score column names and cells of the reproduce table, for stdout and table.csv.
 
-    Task2 has no multi-label column to score, so its cell reads N/A.
+    A task the baseline does not apply to (task2) has no multi-label column
+    to score, so its cell reads N/A.
     """
-    names = [COLUMN_NAMES[v] for v in REPRODUCE_VARIANTS[task]]
-    cells: list = [scores[v] for v in REPRODUCE_VARIANTS[task]]
-    if task == "task2":
+    variants = TASKS[task][1]
+    names = [COLUMN_NAMES[v] for v in variants]
+    cells: list = [scores[v] for v in variants]
+    if "baseline" not in variants:
         names.insert(0, "multi-label")
         cells.insert(0, "N/A")
     return names, cells
@@ -586,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("reproduce", help="run every applicable variant and check orderings")
-    p.add_argument("tag", choices=tuple(REPRODUCE_VARIANTS))
+    p.add_argument("tag", choices=REPRODUCE_TAGS)
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--data", type=str, default="")

@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -28,6 +29,12 @@ class ValidationError(ValueError):
 
 class TrainingError(RuntimeError):
     """Training diverged or was handed degenerate data."""
+
+
+def json_hash(doc: dict) -> str:
+    """SHA-256 of a JSON document in canonical form (sorted keys, no whitespace)."""
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()
 
 
 def seq_from_str(s: str, vocab: int) -> TokenSeq:
@@ -105,6 +112,11 @@ class Dataset:
             raise ValidationError("universe size must be positive")
         for i, s in enumerate(self.samples):
             if self.kind == "labels":
+                if len(s.x) != self.input_dim:
+                    raise ValidationError(
+                        f"sample {i}: input width {len(s.x)} differs from input_dim "
+                        f"{self.input_dim}"
+                    )
                 for lab in s.y:
                     if not isinstance(lab, int) or not 0 <= lab < self.universe:
                         raise ValidationError(
@@ -211,11 +223,14 @@ def load_dataset(path: str) -> Dataset:
                 f"{path}:{lineno}: malformed sample ({type(exc).__name__}: {exc})") from exc
         samples.append(SetSample(x=x, y=y))
     input_dim = len(samples[0].x) if kind == "labels" and samples else 0
-    return Dataset(
-        kind=kind,
-        samples=tuple(samples),
-        universe=universe,
-        max_len=max_len,
-        input_dim=input_dim,
-        input_vocab=input_vocab,
-    )
+    try:
+        return Dataset(
+            kind=kind,
+            samples=tuple(samples),
+            universe=universe,
+            max_len=max_len,
+            input_dim=input_dim,
+            input_vocab=input_vocab,
+        )
+    except ValidationError as exc:  # a row that breaks the header's declarations
+        raise ValidationError(f"{path}: {exc}") from exc

@@ -148,12 +148,6 @@ class LambdaNet:
     def family(self) -> str:
         return f"lambda-{self.variant}"
 
-    def arch(self) -> dict:
-        """Constructor keywords; a checkpoint without ``pos_weight`` loads unweighted."""
-        return {k: getattr(self, k) for k in ("variant", "vocab", "max_len", "hidden", "filters",
-                                              "kernel", "dense", "radius", "threshold",
-                                              "pos_weight")}
-
     # -- forward ------------------------------------------------------------
 
     def _forward_recurrent(self, feats: np.ndarray):

@@ -17,14 +17,14 @@ central finite differences and is run over every family in the test suite.
 
 from __future__ import annotations
 
-import hashlib
+import inspect
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .core import FlatPair, Dataset, TokenSeq, TrainingError, ValidationError
+from .core import FlatPair, Dataset, TokenSeq, TrainingError, ValidationError, json_hash
 
 CHECKPOINT_VERSION = 1
 
@@ -45,16 +45,21 @@ class TrainConfig:
 
 # --- checkpoints ---------------------------------------------------------------
 #
-# Every family stores the same document: its ``family`` name, the ``arch()``
+# Every family stores the same document: its ``family`` name, the ``arch``
 # dict of constructor keywords, and each parameter as a flat C-order list.
+# ``arch`` holds every keyword of the model's constructor but ``seed``, read
+# back from the attribute of the same name; a keyword missing from an older
+# checkpoint takes the constructor's default (a gate without ``pos_weight``
+# loads unweighted).
 
 
 def checkpoint(model) -> dict:
     """The checkpoint document of a model of any family."""
+    keywords = inspect.signature(type(model)).parameters
     return {
         "format_version": CHECKPOINT_VERSION,
         "family": model.family,
-        "arch": model.arch(),
+        "arch": {k: getattr(model, k) for k in keywords if k != "seed"},
         "params": {k: v.ravel(order="C").tolist() for k, v in sorted(model.params.items())},
     }
 
@@ -87,17 +92,11 @@ def from_checkpoint(doc: dict):
     return model
 
 
-def checkpoint_hash(doc: dict) -> str:
-    """Stable content hash of a checkpoint document."""
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
 def content_hash(model) -> str:
     """Checkpoint hash of a model, cached on the instance until it is refit."""
     cached = getattr(model, "_content_hash", None)
     if cached is None:
-        cached = checkpoint_hash(checkpoint(model))
+        cached = json_hash(checkpoint(model))
         model._content_hash = cached
     return cached
 
@@ -141,13 +140,6 @@ class _Mlp:
             self.params[f"W{i}"] = nn.init_uniform(rng, (d_in, d_out), d_in)
             self.params[f"b{i}"] = np.zeros(d_out)
         self.train_losses: list[float] = []
-
-    def arch(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "output_dim": self.output_dim,
-            "hidden_sizes": list(self.hidden_sizes),
-        }
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         out, _ = self._forward(np.atleast_2d(X))
@@ -213,9 +205,6 @@ class MultiLabelBaseline(_Mlp):
         if not 0.0 < threshold < 1.0:
             raise ValidationError("threshold must lie in (0, 1)")
         self.threshold = float(threshold)
-
-    def arch(self) -> dict:
-        return {**super().arch(), "threshold": self.threshold}
 
     def probabilities(self, x) -> np.ndarray:
         xv = np.asarray(x, dtype=float).reshape(1, -1)
@@ -395,10 +384,6 @@ class SequenceModel:
     def step_posterior(self, x: TokenSeq, prefix: TokenSeq = ()) -> np.ndarray:
         """Next-token distribution conditioned on the prefix (teacher-forcing path)."""
         return nn.softmax(self.step_logits(x, prefix))
-
-    def arch(self) -> dict:
-        return {k: getattr(self, k) for k in ("input_vocab", "vocab", "max_len", "embed_dim",
-                                              "enc_hidden", "dec_hidden")}
 
 
 class DecoderSession:

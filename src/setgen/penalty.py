@@ -162,14 +162,16 @@ class PenaltyParams:
         )
 
 
-def margin_records(probs: np.ndarray, positives, negatives, produced
-                   ) -> list[MarginRecord]:
+def margin_records(probs: np.ndarray, produced) -> list[MarginRecord]:
     """One record per produced element of a single posterior.
 
-    ``positives`` and ``negatives`` index the posterior's two groups; every
-    record carries the minimum positive and maximum negative posterior.
-    Without negatives there is no bound, so no records.
+    The positives are the distinct produced elements and the negatives every
+    other entry of ``probs``; every record carries the minimum positive and
+    maximum negative posterior.  Without negatives there is no bound, so no
+    records.
     """
+    positives = sorted(set(produced))
+    negatives = sorted(set(range(len(probs))).difference(positives))
     if not negatives:
         return []
     l_pos_min = float(np.min(probs[positives]))
@@ -193,10 +195,7 @@ def margin_stats(model, dataset: Dataset) -> list[MarginRecord]:
     for i, sample in enumerate(dataset.samples):
         if not sample.y:
             raise ValidationError(f"sample {i} has an empty target set")
-        probs = np.asarray(model.posterior(sample.x), dtype=float)
-        pos = list(sample.y)
-        neg = sorted(set(range(dataset.universe)).difference(pos))
-        recs = margin_records(probs, pos, neg, pos)
+        recs = margin_records(np.asarray(model.posterior(sample.x), dtype=float), sample.y)
         if not recs:
             skipped += 1
         records.extend(recs)
@@ -294,16 +293,12 @@ def solve_lambda_per_position(model, dataset: Dataset) -> PenaltyParams:
     if dataset.kind != "sequences":
         raise ValidationError("per-position calibration expects a sequence dataset")
     max_len = dataset.max_len
-    vocab = dataset.universe
     per_position: list[list[MarginRecord]] = [[] for _ in range(max_len)]
     for sample in dataset.samples:
         if not sample.y:
             continue
         for prefix, logits, nexts in prefix_nodes(model, sample):
-            probs = nn.softmax(logits)
-            pos = sorted(set(nexts))
-            neg = sorted(set(range(vocab)).difference(pos))
-            per_position[len(prefix)].extend(margin_records(probs, pos, neg, nexts))
+            per_position[len(prefix)].extend(margin_records(nn.softmax(logits), nexts))
     solutions: list[LambdaSolution] = []
     last: LambdaSolution | None = None
     n_empty = 0

@@ -19,13 +19,14 @@ Three synthetic tasks plus a sparse-file ingestion path:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import Dataset, SetSample, ValidationError, seq_from_str
 
 DIGIT_VOCAB = 11  # digits 0-9 plus the end token (id 10)
+TASK1_MAX_INPUT_LEN = 10  # longest task1 input; the label view featurizes to this width
 
 
 def threshold_truth(x: float) -> frozenset[int]:
@@ -101,7 +102,7 @@ def generate(spec: TaskSpec) -> Dataset:
             m = int(rng.integers(1, 10))
             # Length is drawn from 2..10 conditionally on m so |x| >= m always
             # holds while the leading digit stays uniform on 1..9.
-            length = int(rng.integers(max(2, m), 11))
+            length = int(rng.integers(max(2, m), TASK1_MAX_INPUT_LEN + 1))
             rest = rng.integers(0, 10, size=length - 1)
             x = str(m) + "".join(str(d) for d in rest)
             y = tuple(sorted(seq_from_str(str(d), DIGIT_VOCAB) for d in task1_truth(x)))
@@ -137,17 +138,8 @@ def split_train_test(dataset: Dataset, train_frac: float = 0.7, seed: int = 0
     order = rng.permutation(len(dataset.samples))
     cut = int(round(train_frac * len(order)))
     cut = min(max(cut, 1), len(order) - 1)
-    train = tuple(dataset.samples[i] for i in order[:cut])
-    test = tuple(dataset.samples[i] for i in order[cut:])
-    mk = lambda samples: Dataset(
-        kind=dataset.kind,
-        samples=samples,
-        universe=dataset.universe,
-        max_len=dataset.max_len,
-        input_dim=dataset.input_dim,
-        input_vocab=dataset.input_vocab,
-    )
-    return mk(train), mk(test)
+    return tuple(replace(dataset, samples=tuple(dataset.samples[i] for i in part))
+                 for part in (order[:cut], order[cut:]))
 
 
 def featurize_digits(x: tuple[int, ...], max_len: int) -> tuple[float, ...]:
@@ -160,7 +152,7 @@ def featurize_digits(x: tuple[int, ...], max_len: int) -> tuple[float, ...]:
     return tuple(vec.tolist())
 
 
-def task1_label_view(dataset: Dataset, max_input_len: int = 10) -> Dataset:
+def task1_label_view(dataset: Dataset) -> Dataset:
     """Reshape a task1 sequence dataset into a label dataset for the baseline.
 
     Single-digit sequence targets become digit labels (universe 10); digit
@@ -169,12 +161,12 @@ def task1_label_view(dataset: Dataset, max_input_len: int = 10) -> Dataset:
     samples = []
     for s in dataset.samples:
         labels = tuple(sorted(seq[0] for seq in s.y))
-        samples.append(SetSample(x=featurize_digits(s.x, max_input_len), y=labels))
+        samples.append(SetSample(x=featurize_digits(s.x, TASK1_MAX_INPUT_LEN), y=labels))
     return Dataset(
         kind="labels",
         samples=tuple(samples),
         universe=10,
-        input_dim=max_input_len * 10,
+        input_dim=TASK1_MAX_INPUT_LEN * 10,
     )
 
 
@@ -184,8 +176,11 @@ def load_multilabel(path: str, n_features: int | None = None,
 
     Each line is ``l1,l2,... i1:v1 i2:v2 ...`` — comma-separated label ids,
     a space, then sparse feature index:value pairs.  Feature count and label
-    universe default to (max index + 1) over the file.
+    universe default to (max index + 1) over the file; given, each must be
+    at least 1.
     """
+    if any(size is not None and size < 1 for size in (n_features, universe)):
+        raise ValidationError("feature count and label universe must be at least 1")
     rows: list[tuple[tuple[int, ...], dict[int, float]]] = []
     max_feat = -1
     max_label = -1

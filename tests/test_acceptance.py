@@ -3,8 +3,8 @@
 Each test prints one ``[PASS]``/``[FAIL]`` line (visible with ``pytest -s``
 or in the captured output of a failing run).  The two desk-scale directional
 experiments (criteria 7 and 8) train real models at N=1000 under pinned
-seeds; they are the long poles and assert orderings only, never absolute
-scores.
+seeds; they are the long poles, marked ``slow``, and assert orderings only,
+never absolute scores.
 """
 
 import functools
@@ -185,6 +185,7 @@ def test_c9_metric_unit_suite():
     assert time.perf_counter() - t0 < 10.0
 
 
+@pytest.mark.slow
 @criterion(7, "desk-scale directional orderings on the leading-digit task")
 def test_c7_task1_directional(tmp_path):
     t0 = time.perf_counter()
@@ -197,6 +198,7 @@ def test_c7_task1_directional(tmp_path):
     assert time.perf_counter() - t0 < 30 * 60
 
 
+@pytest.mark.slow
 @criterion(8, "desk-scale directional orderings on the substring-set task")
 def test_c8_task2_directional(tmp_path):
     t0 = time.perf_counter()

@@ -77,6 +77,18 @@ def test_import_round_trips_sparse_file(tmp_path):
     assert len(ds) == 3 and ds.universe == 4
 
 
+@pytest.mark.parametrize("flag", ["--features", "--universe"])
+def test_import_refuses_a_size_below_one(tmp_path, capsys, flag):
+    src = tmp_path / "ml.txt"
+    src.write_text("1,3 0:0.5 2:1.0\n0 1:2.0\n")
+    out = tmp_path / "imp"
+    capsys.readouterr()
+    assert main(["import", "--data", str(src), flag, "-1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "at least 1" in err[0]
+    assert not out.exists()
+
+
 # --- train ------------------------------------------------------------------------
 
 
@@ -426,6 +438,37 @@ def test_train_refuses_a_dataset_row_without_x(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith(f"error: {path}:2: ")
 
 
+def test_train_refuses_label_rows_of_different_widths(tmp_path, capsys):
+    assert main(["gen", "--task", "threshold", "--n", "5", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "threshold.jsonl"
+    lines = read(path).splitlines()
+    row = json.loads(lines[2])
+    lines[2] = json.dumps({**row, "x": row["x"] * 2})
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["train", "--task", "threshold", "--variant", "scalar", "--dataset", str(path),
+                 "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: ") and "width" in err[0]
+
+
+@pytest.mark.parametrize("task, variant, held", [("task1", "baseline", "threshold"),
+                                                 ("threshold", "learned-windowed", "task2"),
+                                                 ("task2", "per-position", "threshold")])
+def test_train_refuses_a_dataset_of_another_kind_than_its_task(tmp_path, capsys, monkeypatch,
+                                                                task, variant, held):
+    assert main(["gen", "--task", held, "--n", "20", "--out", str(tmp_path)]) == 0
+    for fit in ("_fit_base_model", "train_multilabel_baseline"):
+        monkeypatch.setattr(cli, fit, lambda *a, **kw: pytest.fail("fitted before the check"))
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["train", "--task", task, "--variant", variant, "--epochs", "1",
+                 "--dataset", str(tmp_path / f"{held}.jsonl"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: task {task!r} needs ")
+    assert not out.exists()
+
+
 # --- reproduce ------------------------------------------------------------------------
 
 
@@ -446,7 +489,7 @@ def test_reproduce_task1_smoke(tmp_path, capsys):
         report = json.loads(read(run / "train_report.json"))
         assert 0.0 <= report["gate_validation_accuracy"] <= 1.0
         assert report["reused_base"] is True
-    for variant in cli.REPRODUCE_VARIANTS["task1"]:
+    for variant in cli.TASKS["task1"][1]:
         run = rep / variant
         saved = json.loads(read(run / "config.json"))
         evaluated = json.loads(read(run / "eval_report.json"))

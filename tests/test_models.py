@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from setgen import nn
-from setgen.core import Dataset, FlatPair, SetSample, TrainingError, ValidationError
+from setgen.core import (Dataset, FlatPair, SetSample, TrainingError, ValidationError,
+                         json_hash)
 from setgen.models import (
     LabelModel,
     MultiLabelBaseline,
     SequenceModel,
     TrainConfig,
     checkpoint,
-    checkpoint_hash,
     from_checkpoint,
     gradient_check,
     load_checkpoint,
@@ -260,7 +260,7 @@ def test_checkpoint_round_trip_after_fit(tmp_path):
     for k in m.params:
         assert np.array_equal(back.params[k], m.params[k]), k
     assert np.array_equal(m.step_posterior((1, 2), (3,)), back.step_posterior((1, 2), (3,)))
-    assert checkpoint_hash(checkpoint(m)) == checkpoint_hash(checkpoint(back))
+    assert json_hash(checkpoint(m)) == json_hash(checkpoint(back))
 
 
 # --- multi-label baseline -------------------------------------------------------
@@ -442,7 +442,7 @@ def test_checkpoint_round_trip(tmp_path):
     back = load_checkpoint(str(path))
     x = (1, 2, 3)
     assert np.array_equal(m.step_posterior(x), back.step_posterior(x))
-    assert checkpoint_hash(checkpoint(m)) == checkpoint_hash(checkpoint(back))
+    assert json_hash(checkpoint(m)) == json_hash(checkpoint(back))
 
 
 def test_checkpoint_rejects_version_mismatch(tmp_path):

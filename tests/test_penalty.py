@@ -339,10 +339,10 @@ def test_prefix_nodes_walk_each_prefix_once_and_match_a_replay():
 
 def test_margin_records_one_per_produced_element():
     probs = np.array([0.5, 0.3, 0.2])
-    records = margin_records(probs, [0, 1], [2], [0, 1, 1])
+    records = margin_records(probs, [0, 1, 1])
     assert records == [MarginRecord(p=p, l_pos_min=0.3, l_neg_max=0.2)
                        for p in (0.5, 0.3, 0.3)]
-    assert margin_records(probs, [0, 1, 2], [], [0, 1, 2]) == []
+    assert margin_records(probs, [0, 1, 2]) == []
 
 
 # --- per-position solve ----------------------------------------------------------------
