@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import operator
 import os
 import sys
 import time
@@ -51,15 +52,28 @@ from .models import (
 )
 from .penalty import PenaltyParams, margin_stats, solve_lambda, solve_lambda_per_position
 
-VARIANTS = ("scalar", "per-position", "learned-recurrent", "learned-windowed", "baseline")
-# Each task's set kind and the variants that apply to it, in reproduce's column order.
-TASKS = {
-    "threshold": ("labels", ("baseline", "scalar", "learned-recurrent", "learned-windowed")),
-    "task1": ("sequences", ("baseline", "per-position", "learned-recurrent", "learned-windowed")),
-    "task2": ("sequences", ("per-position", "learned-recurrent", "learned-windowed")),
-    "multilabel-file": ("labels", ("baseline", "scalar", "learned-recurrent",
-                                   "learned-windowed")),
+# Each variant's penalty kind (None: the multi-label baseline, which has no
+# penalty), its gate's LambdaNet variant and its reproduce column.
+VARIANTS = {
+    "scalar": ("scalar", None, "ssg-s"),
+    "per-position": ("per-position", None, "ssg-s"),
+    "learned-recurrent": ("learned", "recurrent", "ssg-recurrent"),
+    "learned-windowed": ("learned", "windowed", "ssg-windowed"),
+    "baseline": (None, None, "multi-label"),
 }
+# Each task's set kind, the variants that apply to it in reproduce's column
+# order, its metric, and its directional criteria as (winner, loser) pairs.
+_LABEL_VARIANTS = ("baseline", "scalar", "learned-recurrent", "learned-windowed")
+TASKS = {
+    "threshold": ("labels", _LABEL_VARIANTS, "mF1", ()),
+    "task1": ("sequences", ("baseline", "per-position", "learned-recurrent", "learned-windowed"),
+              "mF1", (("learned-windowed", "baseline"), ("learned-windowed", "per-position"),
+                      ("learned-recurrent", "per-position"))),
+    "task2": ("sequences", ("per-position", "learned-recurrent", "learned-windowed"), "mED",
+              (("learned-windowed", "per-position"), ("learned-recurrent", "per-position"))),
+    "multilabel-file": ("labels", _LABEL_VARIANTS, "mF1", ()),
+}
+_BETTER = {"mF1": (">", operator.gt), "mED": ("<", operator.lt)}
 REPRODUCE_TAGS = ("task1", "task2", "multilabel-file")
 GATE_FILE = "gate.json"  # the learned penalty's classifier, beside penalty.json
 _FIELD_TYPES = {"int": int, "float": (int, float), "str": str}  # RunConfig's annotations
@@ -103,8 +117,8 @@ class RunConfig:
             raise ValidationError("rho must lie in [0, 1)")
         if not 0.0 < self.split < 1.0:
             raise ValidationError("split fraction must lie in (0, 1)")
-        if self.task == "multilabel-file" and not self.data:
-            raise ValidationError("multilabel-file runs need --data")
+        if (self.task == "multilabel-file") != bool(self.data):
+            raise ValidationError("multilabel-file runs need --data, and no other task reads it")
         applicable = TASKS[self.task][1]
         if self.variant not in applicable:
             raise ValidationError(f"not applicable: task {self.task!r} runs "
@@ -114,11 +128,17 @@ class RunConfig:
         return json_hash(asdict(self))
 
 
-def _check_kind(cfg: RunConfig, dataset: Dataset, source: str = "the dataset") -> None:
-    """Refuse a dataset whose set kind is not the one the config's task holds."""
+def _check_kind(cfg: RunConfig, dataset: Dataset, source: str) -> None:
+    """Refuse a dataset of another set kind than its task, or that breaks its task's rule."""
     kind = TASKS[cfg.task][0]
     if dataset.kind != kind:
         raise ValidationError(f"task {cfg.task!r} needs {kind}, {source} holds {dataset.kind}")
+    for i, s in enumerate(dataset.samples if cfg.task in tasks.SYNTHETIC_TASKS else ()):
+        try:
+            if s.y != tasks.targets(cfg.task, s.x):
+                raise ValidationError(f"targets differ from the {cfg.task} rule")
+        except ValidationError as exc:
+            raise ValidationError(f"{source}: sample {i}: {exc}") from exc
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -163,8 +183,7 @@ class RunArtifacts:
     dataset: Dataset
     train_split: Dataset
     test_split: Dataset
-    base_model: object = None
-    baseline_model: object = None
+    base_model: object = None  # the baseline's own model when ``penalty`` is None
     penalty: PenaltyParams | None = None
     gate_examples: tuple | None = None  # the gate's (train, holdout) GateExamples
     report: dict | None = None
@@ -175,14 +194,16 @@ class RunArtifacts:
 
 
 def train_run(cfg: RunConfig, dataset: Dataset | None = None, out: str | None = None,
-              base_model=None, gate_examples=None) -> RunArtifacts:
+              base_model=None, gate_examples=None, source: str | None = None
+              ) -> RunArtifacts:
     """Train the base model and calibrate the configured penalty variant.
 
     A ``base_model`` passed in (already trained on this config's split) is
     reused instead of fitted, and the report says so; so are ``gate_examples``.
+    ``source`` names a passed-in dataset in a refusal.
     """
     dataset = dataset if dataset is not None else _build_dataset(cfg)
-    _check_kind(cfg, dataset)
+    _check_kind(cfg, dataset, source or "the dataset")
     train_ds, test_ds = tasks.split_train_test(dataset, cfg.split, cfg.seed)
     art = RunArtifacts(cfg=cfg, dataset=dataset, train_split=train_ds, test_split=test_ds)
     report: dict = {
@@ -193,32 +214,25 @@ def train_run(cfg: RunConfig, dataset: Dataset | None = None, out: str | None = 
         "n_test": len(test_ds),
     }
 
-    if cfg.variant == "baseline":
-        label_ds = tasks.task1_label_view(train_ds) if cfg.task == "task1" else train_ds
-        art.baseline_model = train_multilabel_baseline(label_ds, _train_cfg(cfg))
-        report["train_losses"] = art.baseline_model.train_losses
+    if base_model is not None:
+        art.base_model = base_model
+        report["reused_base"] = True
     else:
-        if base_model is not None:
-            art.base_model = base_model
-            report["reused_base"] = True
-        else:
-            art.base_model = _fit_base_model(cfg, train_ds)
-        report["train_losses"] = art.base_model.train_losses
-        model_hash = content_hash(art.base_model)
-        if cfg.variant == "scalar":
-            sol = solve_lambda(margin_stats(art.base_model, train_ds))
-            art.penalty = PenaltyParams(variant="scalar", value=sol.value, solutions=(sol,),
-                                        model_hash=model_hash)
-        elif cfg.variant == "per-position":
-            art.penalty = replace(solve_lambda_per_position(art.base_model, train_ds),
-                                  model_hash=model_hash)
-        else:
-            gate, art.gate_examples = _fit_gate(cfg, art.base_model, train_ds, report,
-                                                gate_examples)
-            art.penalty = PenaltyParams(
-                variant="learned", classifier=gate, model_hash=model_hash,
-                classifier_ref=GATE_FILE if out else None,  # where _persist_run saves it
-            )
+        art.base_model = _fit_base_model(cfg, train_ds)
+    report["train_losses"] = art.base_model.train_losses
+    kind, gate_variant, _ = VARIANTS[cfg.variant]
+    if kind == "scalar":
+        sol = solve_lambda(margin_stats(art.base_model, train_ds))
+        penalty = PenaltyParams(variant="scalar", value=sol.value, solutions=(sol,))
+    elif kind == "per-position":
+        penalty = solve_lambda_per_position(art.base_model, train_ds)
+    elif kind == "learned":
+        gate, art.gate_examples = _fit_gate(cfg, gate_variant, art.base_model, train_ds,
+                                            report, gate_examples)
+        penalty = PenaltyParams(variant="learned", classifier=gate,
+                                classifier_ref=GATE_FILE if out else None)  # _persist_run's
+    if kind is not None:
+        art.penalty = replace(penalty, model_hash=content_hash(art.base_model))
         report["penalty"] = art.penalty.to_dict()
     art.report = report
     if out:
@@ -227,6 +241,9 @@ def train_run(cfg: RunConfig, dataset: Dataset | None = None, out: str | None = 
 
 
 def _fit_base_model(cfg: RunConfig, train_ds: Dataset):
+    if VARIANTS[cfg.variant][0] is None:  # the baseline; on task1, through the label view
+        label_ds = tasks.task1_label_view(train_ds) if cfg.task == "task1" else train_ds
+        return train_multilabel_baseline(label_ds, _train_cfg(cfg))
     flat = flatten(train_ds)
     if train_ds.kind == "labels":
         return train_label_model(flat, _train_cfg(cfg), train_ds.universe)
@@ -234,11 +251,7 @@ def _fit_base_model(cfg: RunConfig, train_ds: Dataset):
                                 vocab=train_ds.universe, max_len=train_ds.max_len)
 
 
-def _gate_variant(cfg: RunConfig) -> str:
-    return "recurrent" if cfg.variant == "learned-recurrent" else "windowed"
-
-
-def _fit_gate(cfg: RunConfig, model, train_ds: Dataset, report: dict,
+def _fit_gate(cfg: RunConfig, variant: str, model, train_ds: Dataset, report: dict,
               examples: tuple | None = None) -> tuple[LambdaNet, tuple]:
     """Train on the first 90% of samples; hold out the rest whole.
 
@@ -253,7 +266,7 @@ def _fit_gate(cfg: RunConfig, model, train_ds: Dataset, report: dict,
                          for part in (train_ds.samples[:cut], train_ds.samples[cut:]))
     train, holdout = examples
     max_len = 1 if train_ds.kind == "labels" else train_ds.max_len
-    gate = train_lambda_net(train, _gate_variant(cfg), _train_cfg(cfg, 1), max_len=max_len)
+    gate = train_lambda_net(train, variant, _train_cfg(cfg, 1), max_len=max_len)
     report["gate_train_losses"] = gate.train_losses
     report["gate_validation_accuracy"] = gate_accuracy(gate, holdout)
     return gate, examples
@@ -267,15 +280,17 @@ def _persist_run(art: RunArtifacts, out: str) -> None:
         "config_hash": art.config_hash,
     })
     save_dataset(art.dataset, os.path.join(out, "dataset.jsonl"))
-    if art.base_model is not None:
-        save_checkpoint(art.base_model, os.path.join(out, "model.json"))
-    if art.baseline_model is not None:
-        save_checkpoint(art.baseline_model, os.path.join(out, "baseline.json"))
+    save_checkpoint(art.base_model, os.path.join(out, _model_file(art.cfg)))
     if art.penalty is not None:
         if art.penalty.classifier is not None:
             save_checkpoint(art.penalty.classifier, os.path.join(out, GATE_FILE))
         _write_json(os.path.join(out, "penalty.json"), art.penalty.to_dict())
     _write_json(os.path.join(out, "train_report.json"), art.report)
+
+
+def _model_file(cfg: RunConfig) -> str:
+    """The run's checkpoint file: the baseline's model or the penalized base model."""
+    return "model.json" if VARIANTS[cfg.variant][0] else "baseline.json"
 
 
 def _read_run_file(path: str, parse):
@@ -310,8 +325,8 @@ def load_run(run_dir: str) -> RunArtifacts:
     """Rehydrate the files ``train_run`` wrote for the config's variant.
 
     Refuses a missing or malformed file, a dataset of another kind than the
-    task, a model of another family than the dataset, and a penalty of
-    another kind than the variant.
+    task or that breaks its rule, a model of another family than the
+    dataset, and a penalty of another kind than the variant.
     """
     path = lambda name: os.path.join(run_dir, name)
     cfg, config_hash = _read_run_file(path("config.json"), _run_config)
@@ -320,22 +335,22 @@ def load_run(run_dir: str) -> RunArtifacts:
     train_ds, test_ds = tasks.split_train_test(dataset, cfg.split, cfg.seed)
     art = RunArtifacts(cfg=cfg, dataset=dataset, train_split=train_ds, test_split=test_ds,
                        config_hash=config_hash)
-    if cfg.variant == "baseline":
-        art.baseline_model = _load_model(path("baseline.json"), "multilabel")
+    kind, gate_variant, _ = VARIANTS[cfg.variant]
+    family = ("multilabel" if kind is None else
+              "label" if dataset.kind == "labels" else "sequence")
+    art.base_model = _load_model(path(_model_file(cfg)), family)
+    if kind is None:
         return art
-    art.base_model = _load_model(path("model.json"),
-                                 "label" if dataset.kind == "labels" else "sequence")
     art.penalty = _read_run_file(path("penalty.json"), PenaltyParams.from_dict)
-    penalty = "learned" if cfg.variant.startswith("learned") else cfg.variant
-    if art.penalty.variant != penalty:
+    if art.penalty.variant != kind:
         raise ValidationError(f"{path('penalty.json')}: variant {cfg.variant!r} needs a "
-                              f"{penalty!r} penalty, the file holds {art.penalty.variant!r}")
-    if penalty == "learned":
+                              f"{kind!r} penalty, the file holds {art.penalty.variant!r}")
+    if kind == "learned":
         if not art.penalty.classifier_ref:
             raise ValidationError(f"{path('penalty.json')}: the learned penalty names no "
                                   "classifier_ref")
         art.penalty.classifier = _load_model(path(art.penalty.classifier_ref),
-                                             f"lambda-{_gate_variant(cfg)}")
+                                             f"lambda-{gate_variant}")
     return art
 
 
@@ -346,9 +361,9 @@ def _predict_sample(art: RunArtifacts, sample):
     """Decode one sample into (predicted set of hashables, iterations, repeats, truncated)."""
     cfg = art.cfg
     sequences = art.dataset.kind == "sequences"
-    if cfg.variant == "baseline":  # on task1, through the label view's features
+    if art.penalty is None:  # the baseline; on task1, through the label view's features
         x = tasks.featurize_digits(sample.x, tasks.TASK1_MAX_INPUT_LEN) if sequences else sample.x
-        pred = art.baseline_model.predict_set(x)
+        pred = art.base_model.predict_set(x)
         if sequences:
             pred = frozenset((int(d),) for d in pred)
         return pred, 1, 0, False
@@ -374,19 +389,15 @@ def _sample_report(x, pred, iterations: int, repeats: int, truncated: bool) -> d
     }
 
 
-def task_metric(task: str) -> str:
-    return "mED" if task == "task2" else "mF1"
-
-
 def eval_run(art: RunArtifacts, out: str | None = None,
              metric: str | None = None) -> metrics.EvalReport:
     """Decode the held-out split and score it with the task's metric."""
     cfg = art.cfg
-    metric = metric or task_metric(cfg.task)
+    metric = metric or TASKS[cfg.task][2]
     ds = art.test_split
     if metric == "mED" and ds.kind == "labels":
         raise ValidationError("mED scores sequence sets; score a label-set run with mF1")
-    if cfg.variant != "baseline":
+    if art.penalty is not None:
         verify_penalty_binding(art.base_model, art.penalty)
     results = [_predict_sample(art, s) for s in ds.samples]
     preds = [r[0] for r in results]
@@ -419,17 +430,8 @@ def eval_run(art: RunArtifacts, out: str | None = None,
 # --- reproduce pipelines ----------------------------------------------------------
 
 
-COLUMN_NAMES = {
-    "baseline": "multi-label",
-    "scalar": "ssg-s",
-    "per-position": "ssg-s",
-    "learned-recurrent": "ssg-recurrent",
-    "learned-windowed": "ssg-windowed",
-}
-
-
-def reproduce(task: str, out: str, n: int = 1000, seed: int = 7, epochs: int | None = None,
-              data: str = "") -> tuple[dict, bool]:
+def reproduce(task: str, out: str, n: int = RunConfig.n, seed: int = RunConfig.seed,
+              epochs: int | None = None, data: str = "") -> tuple[dict, bool]:
     """Run the baseline and every applicable variant; check directional criteria.
 
     The penalty variants share one base model, trained by the first of
@@ -448,7 +450,7 @@ def reproduce(task: str, out: str, n: int = 1000, seed: int = 7, epochs: int | N
     scores: dict[str, float] = {}
     reports: dict[str, dict] = {}
     base_model = gate_examples = None
-    metric = task_metric(task)
+    metric = TASKS[task][2]
     for cfg in configs:
         variant = cfg.variant
         t0 = time.perf_counter()
@@ -456,13 +458,13 @@ def reproduce(task: str, out: str, n: int = 1000, seed: int = 7, epochs: int | N
         art = train_run(cfg, dataset=dataset, out=variant_dir, base_model=base_model,
                         gate_examples=gate_examples)
         gate_examples = art.gate_examples or gate_examples
-        if art.base_model is not None:  # the baseline trains no base model
+        if art.penalty is not None:  # the baseline's model is no base model to reuse
             base_model = art.base_model
         report = eval_run(art, out=variant_dir)
         dt = time.perf_counter() - t0
         scores[variant] = report.aggregate
         reports[variant] = report.to_dict()
-        print(f"[{COLUMN_NAMES[variant]:>14}] {metric}={report.aggregate:.4f} "
+        print(f"[{VARIANTS[variant][2]:>14}] {metric}={report.aggregate:.4f} "
               f"exact={report.exact_match_rate:.3f} ({dt:.1f}s)", file=sys.stderr)
     criteria = _criteria(task, scores)
     names, cells = _table(task, scores)
@@ -477,8 +479,8 @@ def reproduce(task: str, out: str, n: int = 1000, seed: int = 7, epochs: int | N
         "n": n,
         "seed": seed,
         "epochs": epochs,
-        "columns": {COLUMN_NAMES[v]: scores[v] for v in scores},
-        "not_applicable": [] if "baseline" in TASKS[task][1] else ["multi-label"],
+        "columns": {VARIANTS[v][2]: scores[v] for v in scores},
+        "not_applicable": [VARIANTS[v][2] for v in _not_applicable(task)],
         "criteria": [{"name": name, "pass": ok} for name, ok in criteria],
         "reports": reports,
     }
@@ -490,40 +492,29 @@ def reproduce(task: str, out: str, n: int = 1000, seed: int = 7, epochs: int | N
     return doc, all_pass
 
 
+def _not_applicable(task: str) -> list[str]:
+    """The baseline, where the task does not run it (task2): reported N/A."""
+    return [] if "baseline" in TASKS[task][1] else ["baseline"]
+
+
 def _criteria(task: str, scores: dict[str, float]) -> list[tuple[str, bool]]:
-    if task == "task1":
-        return [
-            ("ssg-windowed mF1 > multi-label mF1",
-             scores["learned-windowed"] > scores["baseline"]),
-            ("ssg-windowed mF1 > ssg-s mF1",
-             scores["learned-windowed"] > scores["per-position"]),
-            ("ssg-recurrent mF1 > ssg-s mF1",
-             scores["learned-recurrent"] > scores["per-position"]),
-        ]
-    if task == "task2":
-        return [
-            ("ssg-windowed mED < ssg-s mED",
-             scores["learned-windowed"] < scores["per-position"]),
-            ("ssg-recurrent mED < ssg-s mED",
-             scores["learned-recurrent"] < scores["per-position"]),
-            ("multi-label reported N/A", "baseline" not in scores),
-        ]
-    return []
+    """The task's directional criteria, each as (name, pass), then one per N/A column."""
+    _, _, metric, pairs = TASKS[task]
+    sign, better = _BETTER[metric]
+    col = lambda v: VARIANTS[v][2]
+    return ([(f"{col(w)} {metric} {sign} {col(l)} {metric}", better(scores[w], scores[l]))
+             for w, l in pairs]
+            + [(f"{col(v)} reported N/A", v not in scores) for v in _not_applicable(task)])
 
 
 def _table(task: str, scores: dict[str, float]) -> tuple[list[str], list]:
     """Score column names and cells of the reproduce table, for stdout and table.csv.
 
-    A task the baseline does not apply to (task2) has no multi-label column
-    to score, so its cell reads N/A.
+    A variant the task does not run has no score, so its cell reads N/A.
     """
-    variants = TASKS[task][1]
-    names = [COLUMN_NAMES[v] for v in variants]
-    cells: list = [scores[v] for v in variants]
-    if "baseline" not in variants:
-        names.insert(0, "multi-label")
-        cells.insert(0, "N/A")
-    return names, cells
+    variants = _not_applicable(task) + list(TASKS[task][1])
+    return ([VARIANTS[v][2] for v in variants],
+            [scores[v] if v in scores else "N/A" for v in variants])
 
 
 def _format_table(task: str, metric: str, names: list[str], cells: list) -> str:
@@ -555,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")
-    p.add_argument("--task", required=True, choices=("threshold", "task1", "task2"))
+    p.add_argument("--task", required=True, choices=tasks.SYNTHETIC_TASKS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", type=str, default=None)
@@ -587,10 +578,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run every applicable variant and check orderings")
     p.add_argument("tag", choices=REPRODUCE_TAGS)
-    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--n", type=int, default=RunConfig.n)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--data", type=str, default="")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
     p.add_argument("--out", type=str, default=None)
     return parser
 
@@ -625,7 +616,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg = _merged_config(args, required=("task", "variant"))
             dataset = load_dataset(args.dataset) if args.dataset else None
             out = args.out or "run"
-            train_run(cfg, dataset=dataset, out=out)
+            train_run(cfg, dataset=dataset, out=out, source=args.dataset)
             print(out)
             return 0
         if args.cmd == "eval":
@@ -636,8 +627,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.cmd == "reproduce":
             out = args.out or f"reproduce-{args.tag}"
-            seed = 7 if args.seed is None else args.seed
-            _, ok = reproduce(args.tag, out, n=args.n, seed=seed,
+            _, ok = reproduce(args.tag, out, n=args.n, seed=args.seed,
                               epochs=args.epochs, data=args.data)
             return 0 if ok else 3
         raise ValidationError(f"unknown command {args.cmd!r}")

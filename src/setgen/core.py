@@ -123,6 +123,9 @@ class Dataset:
                             f"sample {i}: label {lab!r} outside universe {self.universe}"
                         )
             else:
+                if s.x and not 0 <= min(s.x) <= max(s.x) < self.input_vocab:
+                    raise ValidationError(f"sample {i}: input token outside input_vocab "
+                                          f"{self.input_vocab}")
                 for seq in s.y:
                     if not isinstance(seq, tuple):
                         raise ValidationError(f"sample {i}: target {seq!r} is not a tuple")

@@ -23,8 +23,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Dataset, SetSample, ValidationError, seq_from_str
+from .core import Dataset, SetSample, ValidationError, seq_from_str, seq_to_str
 
+SYNTHETIC_TASKS = ("threshold", "task1", "task2")
 DIGIT_VOCAB = 11  # digits 0-9 plus the end token (id 10)
 TASK1_MAX_INPUT_LEN = 10  # longest task1 input; the label view featurizes to this width
 
@@ -66,11 +67,21 @@ def task2_truth(x: str) -> frozenset[str]:
     return frozenset(out)
 
 
+def targets(task: str, x: tuple) -> tuple:
+    """The sorted targets a synthetic task's rule gives ``x``, both as a sample stores them."""
+    if task == "threshold":
+        if len(x) != 1:
+            raise ValidationError(f"threshold input must be one number, got {x!r}")
+        return tuple(sorted(threshold_truth(x[0])))
+    truth = task1_truth if task == "task1" else task2_truth
+    return tuple(sorted(seq_from_str(str(e), DIGIT_VOCAB) for e in truth(seq_to_str(x))))
+
+
 @dataclass(frozen=True)
 class TaskSpec:
     """What to generate: task tag, sample count, seed."""
 
-    task: str  # "threshold" | "task1" | "task2"
+    task: str  # one of SYNTHETIC_TASKS
     n: int
     seed: int = 0
 
@@ -79,54 +90,38 @@ class TaskSpec:
             raise ValidationError("sample count must be positive")
         if self.seed < 0:
             raise ValidationError("seed must be non-negative")
-        if self.task not in ("threshold", "task1", "task2"):
+        if self.task not in SYNTHETIC_TASKS:
             raise ValidationError(f"unknown task {self.task!r}")
+
+
+def _draw_input(task: str, rng: np.random.Generator) -> tuple:
+    """One input of ``task``, uniform per task, as a sample stores it."""
+    if task == "threshold":
+        return (float(rng.uniform(0.0, 10.0)),)
+    if task == "task1":
+        m = int(rng.integers(1, 10))
+        # Length is drawn from 2..10 conditionally on m so |x| >= m always
+        # holds while the leading digit stays uniform on 1..9.
+        length = int(rng.integers(max(2, m), TASK1_MAX_INPUT_LEN + 1))
+        return (m, *map(int, rng.integers(0, 10, size=length - 1)))
+    return tuple(map(int, rng.integers(0, 10, size=20)))
 
 
 def generate(spec: TaskSpec) -> Dataset:
     """Draw ``spec.n`` samples with inputs uniform per task and exact targets.
 
-    Deterministic under the spec's seed.  Every emitted sample satisfies its
-    truth function by construction (the generator self-check in the test
-    suite re-derives the targets independently).
+    Deterministic under the spec's seed.  Every emitted sample's targets come
+    from :func:`targets` (the generator self-check in the test suite
+    re-derives them independently).
     """
     rng = np.random.default_rng(spec.seed)
-    samples: list[SetSample] = []
+    inputs = [_draw_input(spec.task, rng) for _ in range(spec.n)]
+    samples = tuple(SetSample(x=x, y=targets(spec.task, x)) for x in inputs)
     if spec.task == "threshold":
-        for _ in range(spec.n):
-            x = float(rng.uniform(0.0, 10.0))
-            samples.append(SetSample(x=(x,), y=tuple(sorted(threshold_truth(x)))))
-        return Dataset(kind="labels", samples=tuple(samples), universe=11, input_dim=1)
-    if spec.task == "task1":
-        for _ in range(spec.n):
-            m = int(rng.integers(1, 10))
-            # Length is drawn from 2..10 conditionally on m so |x| >= m always
-            # holds while the leading digit stays uniform on 1..9.
-            length = int(rng.integers(max(2, m), TASK1_MAX_INPUT_LEN + 1))
-            rest = rng.integers(0, 10, size=length - 1)
-            x = str(m) + "".join(str(d) for d in rest)
-            y = tuple(sorted(seq_from_str(str(d), DIGIT_VOCAB) for d in task1_truth(x)))
-            samples.append(SetSample(x=tuple(int(ch) for ch in x), y=y))
-        return Dataset(
-            kind="sequences",
-            samples=tuple(samples),
-            universe=DIGIT_VOCAB,
-            max_len=2,
-            input_vocab=10,
-        )
-    # task2
-    for _ in range(spec.n):
-        digits = rng.integers(0, 10, size=20)
-        x = "".join(str(d) for d in digits)
-        y = tuple(sorted(seq_from_str(s, DIGIT_VOCAB) for s in task2_truth(x)))
-        samples.append(SetSample(x=tuple(int(ch) for ch in x), y=y))
-    return Dataset(
-        kind="sequences",
-        samples=tuple(samples),
-        universe=DIGIT_VOCAB,
-        max_len=10,  # longest substring is 9 digits, plus the end token
-        input_vocab=10,
-    )
+        return Dataset(kind="labels", samples=samples, universe=11, input_dim=1)
+    # A task1 target is one digit and a task2 target at most 9, plus the end token.
+    return Dataset(kind="sequences", samples=samples, universe=DIGIT_VOCAB,
+                   max_len=2 if spec.task == "task1" else 10, input_vocab=10)
 
 
 def split_train_test(dataset: Dataset, train_frac: float = 0.7, seed: int = 0

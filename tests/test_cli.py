@@ -24,6 +24,7 @@ from setgen.cli import (
     train_run,
 )
 from setgen.core import ValidationError, load_dataset
+from setgen.lambda_net import LambdaNet
 from setgen.metrics import EvalReport
 from setgen.models import load_checkpoint
 from setgen.tasks import TaskSpec, generate, task2_truth
@@ -359,7 +360,7 @@ def test_eval_of_a_corrupted_run_exits_0_or_1_with_one_error_line(saved_runs, da
                 del parent[keys[-1]]
             else:
                 parent[keys[-1]] = data.draw(
-                    st.sampled_from(VARIANTS) if op == "swap-variant"
+                    st.sampled_from(tuple(VARIANTS)) if op == "swap-variant"
                     else st.sampled_from(("x", None, [], {}, 1.5, -1)), label="value")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(json.dumps(doc) + "\n" + rows)
@@ -469,7 +470,92 @@ def test_train_refuses_a_dataset_of_another_kind_than_its_task(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["train-task1-on-task2", "train-task2-on-task1",
+                                  "eval-edited-target"])
+def test_a_dataset_that_breaks_its_task_rule_is_refused(tmp_path, capsys, monkeypatch, case):
+    if case == "eval-edited-target":
+        run = _run_of(tmp_path, "scalar")
+        path = run / "dataset.jsonl"
+        lines = read(path).splitlines()
+        row = json.loads(lines[1])  # sample 0; no threshold rule gives label 0
+        lines[1] = json.dumps({**row, "y": [0] + row["y"][1:]})
+        path.write_text("\n".join(lines) + "\n")
+        argv = ["eval", "--run", str(run)]
+    else:
+        task, held = ("task1", "task2") if case == "train-task1-on-task2" else ("task2", "task1")
+        assert main(["gen", "--task", held, "--n", "20", "--out", str(tmp_path)]) == 0
+        path = tmp_path / f"{held}.jsonl"
+        monkeypatch.setattr(cli, "_fit_base_model",
+                            lambda *a, **kw: pytest.fail("fitted before the check"))
+        argv = ["train", "--task", task, "--variant", "per-position", "--epochs", "1",
+                "--dataset", str(path)]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: sample ")
+    assert not out.exists()
+
+
+def test_train_refuses_a_sequence_input_outside_input_vocab(tmp_path, capsys):
+    assert main(["gen", "--task", "task2", "--n", "20", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "task2.jsonl"
+    head, _, rows = read(path).partition("\n")
+    path.write_text(json.dumps({**json.loads(head), "input_vocab": 5}) + "\n" + rows)
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["train", "--task", "task2", "--variant", "per-position", "--epochs", "1",
+                 "--dataset", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: ") and "input_vocab" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("task, variant", [("threshold", "scalar"), ("task1", "baseline"),
+                                           ("task2", "per-position")])
+def test_train_refuses_data_where_no_task_reads_it(tmp_path, capsys, task, variant):
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["train", "--task", task, "--variant", variant, "--data", "bogus.txt",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "--data" in err[0]
+    assert not out.exists()
+
+
 # --- reproduce ------------------------------------------------------------------------
+
+
+COLUMNS = ["multi-label", "ssg-s", "ssg-recurrent", "ssg-windowed"]
+
+
+@pytest.mark.parametrize("task, names, rising, falling", [
+    ("task1", ["ssg-windowed mF1 > multi-label mF1", "ssg-windowed mF1 > ssg-s mF1",
+               "ssg-recurrent mF1 > ssg-s mF1"], [True] * 3, [False] * 3),
+    ("task2", ["ssg-windowed mED < ssg-s mED", "ssg-recurrent mED < ssg-s mED",
+               "multi-label reported N/A"], [False, False, True], [True] * 3),
+])
+def test_reproduce_criteria_and_columns_are_pinned(task, names, rising, falling):
+    variants = cli.TASKS[task][1]
+    for order, passes in (([0.1, 0.2, 0.3, 0.4], rising), ([0.4, 0.3, 0.2, 0.1], falling)):
+        scores = dict(zip(variants, order))  # scores rise or fall in column order
+        assert cli._criteria(task, scores) == list(zip(names, passes))
+        columns, cells = cli._table(task, scores)
+        assert columns == COLUMNS
+        assert cells == ["N/A"] * (len(COLUMNS) - len(variants)) + [scores[v] for v in variants]
+
+
+def test_the_variant_and_task_tables_agree():
+    assert set(cli.REPRODUCE_TAGS) <= set(cli.TASKS)
+    for _, variants, metric, pairs in cli.TASKS.values():
+        assert set(variants) <= set(VARIANTS) and metric in ("mF1", "mED")
+        assert all(set(pair) <= set(variants) for pair in pairs)
+    for kind, gate, _ in VARIANTS.values():
+        assert (gate is not None) == (kind == "learned")
+        if gate is not None:
+            assert LambdaNet(gate, vocab=11, max_len=2).variant == gate  # accepted
+
+
 
 
 def test_reproduce_task1_smoke(tmp_path, capsys):

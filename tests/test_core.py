@@ -91,6 +91,12 @@ def test_sequence_dataset_requires_terminated_targets():
                 universe=11, max_len=5, input_vocab=10)
 
 
+def test_sequence_dataset_refuses_input_outside_input_vocab():
+    with pytest.raises(ValidationError, match="sample 1: input token outside input_vocab 5"):
+        Dataset(kind="sequences", universe=11, max_len=5, input_vocab=5,
+                samples=(SetSample(x=(4, 0), y=()), SetSample(x=(1, 5), y=())))
+
+
 def test_seq_helpers_round_trip():
     seq = seq_from_str("105", 11)
     assert seq == (1, 0, 5, 10)

@@ -8,6 +8,7 @@ from setgen.tasks import (
     generate,
     load_multilabel,
     split_train_test,
+    targets,
     task1_label_view,
     task1_truth,
     task2_truth,
@@ -107,6 +108,17 @@ def test_generate_task2_self_check():
         x = "".join(str(t) for t in s.x)
         got = {"".join(str(t) for t in strip_eos(seq, ds.universe)) for seq in s.y}
         assert got == task2_truth(x)
+
+
+def test_targets_are_stored_as_a_sample_holds_them():
+    assert targets("threshold", (7.5,)) == (8, 9, 10)
+    assert targets("task1", (3, 1, 3, 9)) == ((1, 10), (3, 10))
+    x = tuple(int(ch) for ch in "01230000002345678901")  # pairs (0,1) and (2,3)
+    assert targets("task2", x) == ((2, 10), (4, 10))
+    with pytest.raises(ValidationError, match="one number"):
+        targets("threshold", (1.0, 2.0))
+    with pytest.raises(ValidationError, match="leading digit"):
+        targets("task1", (0, 1))
 
 
 def test_split_is_deterministic_disjoint_and_covering():
