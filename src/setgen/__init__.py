@@ -37,6 +37,7 @@ from .models import (
 from .penalty import (
     FeasibleInterval,
     MarginRecord,
+    MarginRecords,
     PenaltyParams,
     margin_stats,
     solve_lambda,

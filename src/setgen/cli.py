@@ -101,7 +101,9 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if not isinstance(getattr(self, f.name), _FIELD_TYPES[f.type]):
+            value = getattr(self, f.name)
+            # bool is an int subclass, so a JSON true would otherwise read as 1
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
                 raise ValidationError(f"config key {f.name!r} must be of type {f.type}")
         if self.seed < 0:
             raise ValidationError("seed must be non-negative")

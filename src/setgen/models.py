@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,7 +171,8 @@ class _Mlp:
             dc, tc = caches[i]
             if tc is not None:
                 d = nn.tanh_backward(d, tc)
-            d, grads[f"W{i}"], grads[f"b{i}"] = nn.dense_backward(d, dc)
+            # nothing reads the gradient with respect to the inputs
+            d, grads[f"W{i}"], grads[f"b{i}"] = nn.dense_backward(d, dc, input_grad=i > 0)
         return grads
 
     def loss_and_grads(self, batch):
@@ -326,10 +328,9 @@ class SequenceModel:
         rows = np.arange(t_out * B)
         targets = Y.T.ravel()
         weights = out_mask.T.ravel()
-        picked = nn.log_softmax(logits, axis=1)[rows, targets]
+        picked, dlogits = nn.picked_log_softmax(logits, targets)
         loss = -float(np.sum(weights * picked)) / B
 
-        dlogits = nn.softmax(logits, axis=1)
         dlogits[rows, targets] -= 1.0
         dlogits *= (weights / B)[:, None]
         grads = {"proj_W": h_out.T @ dlogits, "proj_b": np.sum(dlogits, axis=0)}
@@ -337,8 +338,7 @@ class SequenceModel:
         zeros = np.zeros((B, self.dec_hidden))
         dxe, grads["dec_Wx"], grads["dec_Wh"], grads["dec_b"], dh, dc = nn.lstm_backward(
             zeros, zeros, dhs, dec_cache)
-        grads["E_out"] = np.zeros_like(p["E_out"])
-        np.add.at(grads["E_out"], D.ravel(), dxe)
+        grads["E_out"] = nn.scatter_rows(D.ravel(), dxe, p["E_out"].shape)
         # Through the bridge into the encoder's final state.
         grads["br_Wh"] = h_enc.T @ dh
         grads["br_bh"] = np.sum(dh, axis=0)
@@ -347,8 +347,7 @@ class SequenceModel:
         dxe, grads["enc_Wx"], grads["enc_Wh"], grads["enc_b"], _, _ = nn.lstm_backward(
             dh @ p["br_Wh"].T, dc @ p["br_Wc"].T, None, enc_cache)
         # Masked steps pass no gradient to the pre-activation, so their rows of dxe are 0.
-        grads["E_in"] = np.zeros_like(p["E_in"])
-        np.add.at(grads["E_in"], X.T.ravel(), dxe)
+        grads["E_in"] = nn.scatter_rows(X.T.ravel(), dxe, p["E_in"].shape)
         return loss, grads
 
     # -- inference ----------------------------------------------------------
@@ -428,7 +427,7 @@ def _run_epochs(model, batches_of, n_items: int, cfg: TrainConfig,
         for start in range(0, n_items, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             loss, grads = model.loss_and_grads(batches_of(idx))
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch} (lr={cfg.learning_rate})"
                 )

@@ -36,15 +36,29 @@ def log_softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
+def picked_log_softmax(logits: np.ndarray, targets: np.ndarray):
+    """Each row's log-probability of its target, and the row-wise softmax.
+
+    ``logits`` is (N, V) and ``targets`` holds one class index per row.  One
+    shift, exp and row sum serve both outputs, which equal
+    ``log_softmax(logits, axis=1)[rows, targets]`` and
+    ``softmax(logits, axis=1)`` bit for bit.
+    """
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    ez = np.exp(shifted)
+    sums = ez.sum(axis=1, keepdims=True)
+    picked = shifted[np.arange(logits.shape[0]), targets] - np.log(sums[:, 0])
+    return picked, ez / sums
+
+
 def cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy over rows; returns (loss, dlogits).
 
     ``targets`` holds one class index per row.
     """
     n = logits.shape[0]
-    logp = log_softmax(logits, axis=1)
-    loss = -float(logp[np.arange(n), targets].mean())
-    dlogits = softmax(logits, axis=1)
+    picked, dlogits = picked_log_softmax(logits, targets)
+    loss = -float(picked.mean())
     dlogits[np.arange(n), targets] -= 1.0
     return loss, dlogits / n
 
@@ -69,9 +83,22 @@ def dense_forward(x: np.ndarray, W: np.ndarray, b: np.ndarray):
     return x @ W + b, (x, W)
 
 
-def dense_backward(dout: np.ndarray, cache):
+def dense_backward(dout: np.ndarray, cache, input_grad: bool = True):
+    """(dx, dW, db); ``dx`` is None when ``input_grad`` is false."""
     x, W = cache
-    return dout @ W.T, x.T @ dout, dout.sum(axis=0)
+    return dout @ W.T if input_grad else None, x.T @ dout, dout.sum(axis=0)
+
+
+def scatter_rows(index: np.ndarray, rows: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Sum ``rows[i]`` into row ``index[i]`` of a zero (R, C) array.
+
+    The backward of an embedding lookup.  One ``np.bincount`` over the flat
+    ``index * C + column`` positions adds in input order, as ``np.add.at``
+    does, so the sums are the same bit for bit.
+    """
+    width = shape[1]
+    flat = (index[:, None] * width + np.arange(width)).ravel()
+    return np.bincount(flat, weights=rows.ravel(), minlength=shape[0] * width).reshape(shape)
 
 
 def tanh_forward(z: np.ndarray):

@@ -10,6 +10,12 @@ a graceful compromise, and the result is flagged infeasible.
 
 Sequence sets get one penalty per output position, each solved the same way
 on records built from teacher-forced next-token posteriors.
+
+Records are held as a struct of arrays (:class:`MarginRecords`): aligned
+``p``, ``l_pos_min`` and ``l_neg_max`` vectors, built in one vectorized pass
+over an (N, V) matrix of posteriors and produced-element counts, and read
+directly by the solver.  A list of single :class:`MarginRecord` objects is
+accepted wherever records are read, and gives the same solution bit for bit.
 """
 
 from __future__ import annotations
@@ -50,6 +56,51 @@ class MarginRecord:
     @property
     def p_hat(self) -> float:
         return (self.l_neg_max + self.l_pos_min) / 2.0
+
+
+@dataclass(frozen=True, eq=False)
+class MarginRecords:
+    """Margin records as aligned float arrays, one entry per record.
+
+    Holds what a list of :class:`MarginRecord` holds, checked once with the
+    same two rules.  ``len`` counts the records and iteration yields them as
+    :class:`MarginRecord` objects.
+    """
+
+    p: np.ndarray
+    l_pos_min: np.ndarray
+    l_neg_max: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("p", "l_pos_min", "l_neg_max"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        p, pos, neg = self.p, self.l_pos_min, self.l_neg_max
+        if p.ndim != 1 or not p.shape == pos.shape == neg.shape:
+            raise ValidationError("margin statistics must be aligned 1-D arrays")
+        if not all(np.all((0.0 <= a) & (a <= 1.0)) for a in (p, pos, neg)):
+            raise ValidationError("margin statistics must be probabilities")
+        if np.any(pos > p + 1e-12):
+            raise ValidationError("l_pos_min cannot exceed the pair's own posterior")
+
+    @classmethod
+    def of(cls, records) -> "MarginRecords":
+        """The arrays of any iterable of :class:`MarginRecord`."""
+        records = list(records)
+        return cls(p=np.asarray([r.p for r in records], dtype=float),
+                   l_pos_min=np.asarray([r.l_pos_min for r in records], dtype=float),
+                   l_neg_max=np.asarray([r.l_neg_max for r in records], dtype=float))
+
+    @property
+    def p_hat(self) -> np.ndarray:
+        return (self.l_neg_max + self.l_pos_min) / 2.0
+
+    def __len__(self) -> int:
+        return self.p.shape[0]
+
+    def __iter__(self):
+        for p, pos, neg in zip(self.p.tolist(), self.l_pos_min.tolist(),
+                               self.l_neg_max.tolist()):
+            yield MarginRecord(p=p, l_pos_min=pos, l_neg_max=neg)
 
 
 @dataclass(frozen=True)
@@ -162,46 +213,51 @@ class PenaltyParams:
         )
 
 
-def margin_records(probs: np.ndarray, produced) -> list[MarginRecord]:
-    """One record per produced element of a single posterior.
+def margin_records(probs: np.ndarray, counts: np.ndarray) -> MarginRecords:
+    """One record per produced occurrence, from (N, V) posteriors in one pass.
 
-    The positives are the distinct produced elements and the negatives every
-    other entry of ``probs``; every record carries the minimum positive and
-    maximum negative posterior.  Without negatives there is no bound, so no
-    records.
+    ``counts[i, k]`` is how often element ``k`` was produced in row ``i``.
+    A row's positives are its produced elements and its negatives every
+    other entry; every record of the row carries the row's minimum positive
+    and maximum negative posterior.  Records run row by row, in increasing
+    element order within a row, one per occurrence.  A row without negatives
+    has no bound, so it gives no records.
     """
-    positives = sorted(set(produced))
-    negatives = sorted(set(range(len(probs))).difference(positives))
-    if not negatives:
-        return []
-    l_pos_min = float(np.min(probs[positives]))
-    l_neg_max = float(np.max(probs[negatives]))
-    return [MarginRecord(p=float(probs[k]), l_pos_min=l_pos_min, l_neg_max=l_neg_max)
-            for k in produced]
+    probs = np.asarray(probs, dtype=float)
+    counts = np.asarray(counts)
+    positive = counts > 0
+    l_pos_min = np.where(positive, probs, np.inf).min(axis=1)
+    l_neg_max = np.where(positive, -np.inf, probs).max(axis=1)
+    rows, cols = np.nonzero(positive & ~positive.all(axis=1, keepdims=True))
+    reps = counts[rows, cols]
+    return MarginRecords(p=np.repeat(probs[rows, cols], reps),
+                         l_pos_min=np.repeat(l_pos_min[rows], reps),
+                         l_neg_max=np.repeat(l_neg_max[rows], reps))
 
 
-def margin_stats(model, dataset: Dataset) -> list[MarginRecord]:
+def margin_stats(model, dataset: Dataset) -> MarginRecords:
     """One record per (sample, target label) of a label dataset, in sample order.
 
-    Samples whose negative set is empty (targets covering the whole universe)
-    contribute nothing and are logged, since no negative bounds exist there.
+    The posteriors of every sample are stacked and turned into records in
+    one :func:`margin_records` pass.  Samples whose negative set is empty
+    (targets covering the whole universe) contribute nothing and are logged,
+    since no negative bounds exist there.
     """
     if dataset.kind != "labels":
         raise ValidationError("margin_stats expects a label dataset")
     if not dataset.samples:
         raise ValidationError("margin_stats needs at least one sample")
-    records: list[MarginRecord] = []
-    skipped = 0
     for i, sample in enumerate(dataset.samples):
         if not sample.y:
             raise ValidationError(f"sample {i} has an empty target set")
-        recs = margin_records(np.asarray(model.posterior(sample.x), dtype=float), sample.y)
-        if not recs:
-            skipped += 1
-        records.extend(recs)
+    probs = np.stack([np.asarray(model.posterior(s.x), dtype=float) for s in dataset.samples])
+    counts = np.zeros(probs.shape, dtype=int)
+    counts[[i for i, s in enumerate(dataset.samples) for _ in s.y],
+           [k for s in dataset.samples for k in s.y]] = 1
+    skipped = int(np.count_nonzero(counts.all(axis=1)))
     if skipped:
         log.warning("margin_stats: skipped %d sample(s) with empty negative sets", skipped)
-    return records
+    return margin_records(probs, counts)
 
 
 def _objective(diffs: np.ndarray, lam: float) -> float:
@@ -217,21 +273,24 @@ def _hinge_objective(diffs: np.ndarray, los: np.ndarray, his: np.ndarray,
     return quad + HINGE_WEIGHT * viol
 
 
-def solve_lambda(records: list[MarginRecord]) -> LambdaSolution:
+def solve_lambda(records) -> LambdaSolution:
     """Closed-form penalty fit: the mean gap clipped to the feasible interval.
 
-    With an empty interval, returns the exact minimizer of the quadratic plus
-    hinge penalties on every per-record bound, flagged infeasible.  O(N log N)
-    time and O(N) memory.
+    ``records`` is a :class:`MarginRecords` or any iterable of
+    :class:`MarginRecord`.  With an empty interval, returns the exact
+    minimizer of the quadratic plus hinge penalties on every per-record
+    bound, flagged infeasible.  O(N log N) time and O(N) memory.
     """
-    if not records:
+    if not isinstance(records, MarginRecords):
+        records = MarginRecords.of(records)
+    if not len(records):
         raise ValidationError("solve_lambda requires at least one margin record")
-    p = np.asarray([r.p for r in records])
+    p = records.p
     # Sorted so that every sum below runs in one order whatever the record
     # order, which makes the result bit-identical under permutation.
-    los = np.sort(p - np.asarray([r.l_pos_min for r in records]))
-    his = np.sort(p - np.asarray([r.l_neg_max for r in records]))
-    diffs = np.sort(p - np.asarray([r.p_hat for r in records]))
+    los = np.sort(p - records.l_pos_min)
+    his = np.sort(p - records.l_neg_max)
+    diffs = np.sort(p - records.p_hat)
     interval = FeasibleInterval(lo=float(los[-1]), hi=float(his[0]))
 
     if not interval.empty:
@@ -286,25 +345,33 @@ def solve_lambda_per_position(model, dataset: Dataset) -> PenaltyParams:
     """One closed-form penalty per output position of a sequence dataset.
 
     Records at position j come from the teacher-forced next-token posterior
-    of every (sample, target) pair whose target reaches that position.
-    Positions with no records inherit the previous position's value and are
-    flagged as carried.
+    of every (sample, target) pair whose target reaches that position: the
+    logits of all prefixes of length j - 1 go through one softmax and one
+    :func:`margin_records` pass.  Positions with no records inherit the
+    previous position's value and are flagged as carried.
     """
     if dataset.kind != "sequences":
         raise ValidationError("per-position calibration expects a sequence dataset")
-    max_len = dataset.max_len
-    per_position: list[list[MarginRecord]] = [[] for _ in range(max_len)]
+    max_len, vocab = dataset.max_len, dataset.universe
+    # Each position's logits and next-token counts, as the bytes of row-major
+    # (nodes, vocab) arrays: a node costs its numbers and no array object.
+    logits_at = [bytearray() for _ in range(max_len)]
+    counts_at = [bytearray() for _ in range(max_len)]
     for sample in dataset.samples:
         if not sample.y:
             continue
         for prefix, logits, nexts in prefix_nodes(model, sample):
-            per_position[len(prefix)].extend(margin_records(nn.softmax(logits), nexts))
+            logits_at[len(prefix)] += np.asarray(logits, dtype=float).tobytes()
+            counts_at[len(prefix)] += np.bincount(nexts, minlength=vocab).tobytes()
     solutions: list[LambdaSolution] = []
     last: LambdaSolution | None = None
     n_empty = 0
     for j in range(max_len):
-        if per_position[j]:
-            last = solve_lambda(per_position[j])
+        logits = np.frombuffer(logits_at[j], dtype=float).reshape(-1, vocab)
+        counts = np.frombuffer(counts_at[j], dtype=np.intp).reshape(-1, vocab)
+        records = margin_records(nn.softmax(logits, axis=1), counts)
+        if len(records):
+            last = solve_lambda(records)
             solutions.append(last)
         else:
             n_empty += 1

@@ -686,6 +686,8 @@ def test_run_config_holds_the_nine_run_settings():
         "task", "variant", "n", "seed", "rho", "split", "epochs", "learning_rate", "data"]
     with pytest.raises(ValidationError, match="'seed'"):
         RunConfig(task="threshold", variant="scalar", seed="7")
+    with pytest.raises(ValidationError, match="'epochs'"):
+        RunConfig(task="task2", variant="per-position", epochs=True, learning_rate=True)
 
 
 @pytest.mark.parametrize("key", ["max_branches", "gate_hidden", "threshold"])
@@ -696,6 +698,17 @@ def test_train_config_naming_a_removed_key_is_refused(tmp_path, capsys, key):
     assert main(["train", "--config", str(conf), "--out", str(tmp_path / "r")]) == 1
     err = capsys.readouterr().err
     assert "unknown config key" in err and repr(key) in err
+
+
+@pytest.mark.parametrize("key", ["epochs", "learning_rate", "rho"])
+def test_train_config_with_a_boolean_number_is_refused(tmp_path, capsys, key):
+    conf = tmp_path / "c.json"
+    conf.write_text(json.dumps({"task": "threshold", "variant": "scalar", "n": 30, key: True}))
+    capsys.readouterr()
+    assert main(["train", "--config", str(conf), "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and repr(key) in err[0]
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("argv", [

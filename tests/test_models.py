@@ -660,3 +660,17 @@ def test_recurrent_gate_grads_match_per_step_reference():
     _, dscores = nn.binary_cross_entropy(scores, targets, weights)
     _, grads = net.loss_and_grads((feats, targets, weights))
     assert_grads_close(grads, ref_gate_grads(net, feats, dscores))
+
+
+def test_shared_softmax_and_bincount_scatter_match_their_references_bit_for_bit():
+    rng = np.random.default_rng(6)
+    logits = rng.normal(scale=4.0, size=(40, 11))
+    targets = rng.integers(0, 11, size=40)
+    picked, probs = nn.picked_log_softmax(logits, targets)
+    assert np.array_equal(picked, nn.log_softmax(logits, axis=1)[np.arange(40), targets])
+    assert np.array_equal(probs, nn.softmax(logits, axis=1))
+    index = rng.integers(0, 7, size=600)  # every row index repeats
+    rows = rng.normal(size=(600, 30))
+    want = np.zeros((9, 30))
+    np.add.at(want, index, rows)
+    assert np.array_equal(nn.scatter_rows(index, rows, (9, 30)), want)

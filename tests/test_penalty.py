@@ -7,11 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setgen import nn
-from setgen.core import Dataset, SetSample, ValidationError
-from setgen.models import SequenceModel
+from setgen.core import Dataset, SetSample, ValidationError, flatten
+from setgen.models import (
+    SequenceModel,
+    TrainConfig,
+    train_label_model,
+    train_sequence_model,
+)
 from setgen.penalty import (
     FeasibleInterval,
     MarginRecord,
+    MarginRecords,
     PenaltyParams,
     _hinge_objective,
     margin_records,
@@ -20,6 +26,7 @@ from setgen.penalty import (
     solve_lambda,
     solve_lambda_per_position,
 )
+from setgen.tasks import TaskSpec, generate
 from tests.conftest import PrefixStepper, position_candidates
 
 GRID = np.arange(-1.0, 1.0 + 1e-4, 1e-4)
@@ -94,7 +101,7 @@ def test_margin_stats_two_positive_group():
     ds = Dataset(kind="labels",
                  samples=(SetSample(x=(0.0,), y=(0, 1)),), universe=3, input_dim=1)
     model = FixedPosterior({(0.0,): [0.6, 0.4, 0.2]})
-    records = margin_stats(model, ds)
+    records = list(margin_stats(model, ds))
     assert len(records) == 2
     assert records[0] == MarginRecord(p=0.6, l_pos_min=0.4, l_neg_max=0.2)
     assert records[1] == MarginRecord(p=0.4, l_pos_min=0.4, l_neg_max=0.2)
@@ -126,7 +133,7 @@ def test_margin_stats_keeps_samples_with_the_same_input_apart():
                  samples=(SetSample(x=(0.0,), y=(0,)), SetSample(x=(0.0,), y=(1, 2))),
                  universe=4, input_dim=1)
     model = FixedPosterior({(0.0,): [0.4, 0.3, 0.2, 0.1]})
-    assert margin_stats(model, ds) == [
+    assert list(margin_stats(model, ds)) == [
         MarginRecord(p=0.4, l_pos_min=0.4, l_neg_max=0.3),
         MarginRecord(p=0.3, l_pos_min=0.2, l_neg_max=0.4),
         MarginRecord(p=0.2, l_pos_min=0.2, l_neg_max=0.4),
@@ -338,11 +345,73 @@ def test_prefix_nodes_walk_each_prefix_once_and_match_a_replay():
 
 
 def test_margin_records_one_per_produced_element():
-    probs = np.array([0.5, 0.3, 0.2])
-    records = margin_records(probs, [0, 1, 1])
-    assert records == [MarginRecord(p=p, l_pos_min=0.3, l_neg_max=0.2)
-                       for p in (0.5, 0.3, 0.3)]
-    assert margin_records(probs, [0, 1, 2]) == []
+    probs = np.array([[0.5, 0.3, 0.2]])
+    records = margin_records(probs, [[1, 2, 0]])
+    assert list(records) == [MarginRecord(p=p, l_pos_min=0.3, l_neg_max=0.2)
+                             for p in (0.5, 0.3, 0.3)]
+    assert list(margin_records(probs, [[1, 1, 1]])) == []
+
+
+def reference_margin_records(probs, counts):
+    """The per-row loop that margin_records replaces, one row at a time."""
+    records = []
+    for row, row_counts in zip(probs, counts):
+        produced = [k for k in range(len(row)) for _ in range(row_counts[k])]
+        positives = sorted(set(produced))
+        negatives = sorted(set(range(len(row))).difference(positives))
+        if not positives or not negatives:
+            continue
+        l_pos_min = float(np.min(row[positives]))
+        l_neg_max = float(np.max(row[negatives]))
+        records.extend(MarginRecord(p=float(row[k]), l_pos_min=l_pos_min, l_neg_max=l_neg_max)
+                       for k in produced)
+    return records
+
+
+@st.composite
+def posteriors_and_counts(draw):
+    """(N, V) posteriors and produced counts: repeated ids, full-universe and empty rows."""
+    n, v = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    raw = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n * v,
+                                 max_size=n * v))).reshape(n, v)
+    probs = raw / raw.sum(axis=1, keepdims=True)
+    counts = np.array(draw(st.lists(st.integers(0, 3), min_size=n * v,
+                                    max_size=n * v))).reshape(n, v)
+    full = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    counts[full] = np.maximum(counts[full], 1)
+    return probs, counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(posteriors_and_counts())
+def test_margin_records_match_the_per_row_loop(case):
+    probs, counts = case
+    records = margin_records(probs, counts)
+    want = reference_margin_records(probs, counts)
+    assert len(records) == len(want)
+    assert list(records) == want  # values and order
+
+
+def test_margin_records_validate_like_margin_record():
+    with pytest.raises(ValidationError, match="probabilities"):
+        MarginRecords(p=np.array([1.5]), l_pos_min=np.array([0.5]), l_neg_max=np.array([0.1]))
+    with pytest.raises(ValidationError, match="l_pos_min"):
+        MarginRecords(p=np.array([0.3]), l_pos_min=np.array([0.5]), l_neg_max=np.array([0.1]))
+    with pytest.raises(ValidationError, match="aligned"):
+        MarginRecords(p=np.array([0.3, 0.4]), l_pos_min=np.array([0.3]),
+                      l_neg_max=np.array([0.1]))
+
+
+def test_solve_lambda_gives_one_solution_for_arrays_and_lists():
+    rng = np.random.default_rng(5)
+    feasible = set()
+    for i in range(100):
+        records = (random_records if i % 2 else near_uniform_records)(rng)
+        arrays = MarginRecords.of(records)
+        sol = solve_lambda(arrays)
+        assert sol == solve_lambda(records) == solve_lambda(list(arrays))
+        feasible.add(sol.feasible)
+    assert feasible == {True, False}
 
 
 # --- per-position solve ----------------------------------------------------------------
@@ -400,6 +469,41 @@ def test_per_position_feasible_under_memorizing_model():
     ds = seq_dataset([["21", "3"], ["404", "44"], ["9"]], max_len=4)
     params = solve_lambda_per_position(OracleStepper(ds), ds)
     assert all(s.feasible for s in params.solutions)
+
+
+# The reprs below are what the per-record implementation (one MarginRecord
+# object per record, one posterior row at a time) solved to.  The array form
+# must give the same bits: the solver sorts before it sums, min and max are
+# exact, and a row-wise softmax equals the per-row one.
+
+
+def test_threshold_lambda_is_bit_identical_to_the_per_record_path():
+    train = generate(TaskSpec(task="threshold", n=120, seed=3))
+    model = train_label_model(flatten(train), TrainConfig(epochs=3, seed=3),
+                              n_labels=train.universe)
+    records = margin_stats(model, train)
+    sol = solve_lambda(records)
+    assert len(records) == 661
+    assert sol.candidate == "infeasible"
+    assert repr(sol.value) == "0.07382226361126945"
+    assert repr(sol.objective) == "1.41483654938444"
+
+
+def test_task2_per_position_values_are_bit_identical_to_the_per_record_path():
+    train = generate(TaskSpec(task="task2", n=80, seed=3))
+    cfg = TrainConfig(epochs=60, seed=3, learning_rate=0.02, batch_size=15)
+    model = train_sequence_model(flatten(train), cfg, input_vocab=train.input_vocab,
+                                 vocab=train.universe, max_len=train.max_len,
+                                 embed_dim=12, enc_hidden=12, dec_hidden=24)
+    params = solve_lambda_per_position(model, train)
+    assert [repr(v) for v in params.values] == [
+        "0.2348254868635875", "0.27498361346555095", "0.38197925218962203",
+        "0.46365737115984046", "0.4659659861325086", "0.458118746730789",
+        "0.43604714664982325", "0.1383040075920584", "0.347486004604361",
+        "0.48229009779128057"]
+    assert [s.candidate for s in params.solutions] == [
+        "infeasible", "infeasible", "boundary-high", "interior", "interior",
+        "boundary-high", "boundary-high", "infeasible", "infeasible", "interior"]
 
 
 def test_penalty_params_round_trip():

@@ -1,0 +1,87 @@
+"""What the benchmark in ``perfbench/`` relies on in the library.
+
+The benchmark wraps the functions named in ``tracing.TRACED`` and checks
+the scalar penalty with ``checks.check_scalar_solution``.  These tests load
+both modules from ``perfbench/`` and only read them, so that a library change
+that breaks the benchmark fails here rather than in a benchmark run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import setgen
+import setgen.tasks  # noqa: F401  (the package does not import it itself)
+from setgen.core import flatten
+from setgen.models import TrainConfig, train_label_model
+from setgen.penalty import HINGE_WEIGHT, margin_stats, solve_lambda
+from setgen.tasks import TaskSpec, generate
+from tests.conftest import OracleLabelPosterior
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = load("tracing")
+checks = load("checks")
+
+
+def resolve(module_name, path):
+    """(owner, attribute name), found as ``Tracer.install`` finds them."""
+    owner = getattr(setgen, module_name)
+    *owners, attr = path.split(".")
+    for part in owners:
+        owner = getattr(owner, part)
+    return owner, attr
+
+
+@pytest.mark.parametrize("module_name,path", tracing.TRACED,
+                         ids=[f"{m}.{p}" for m, p in tracing.TRACED])
+def test_every_traced_function_is_defined_on_its_owner(module_name, path):
+    owner, attr = resolve(module_name, path)
+    # install reads vars(owner)[attr]: a method inherited from a base class is not there
+    assert attr in vars(owner), f"{module_name}.{path} is not defined on {owner!r}"
+    assert callable(vars(owner)[attr])
+
+
+def test_the_tracer_wraps_and_restores_every_traced_function():
+    before = {key: vars(owner)[attr] for key in tracing.TRACED
+              for owner, attr in [resolve(*key)]}
+    tracer = tracing.Tracer(setgen)
+    tracer.install()
+    try:
+        for key, original in before.items():
+            owner, attr = resolve(*key)
+            assert vars(owner)[attr].__wrapped__ is original
+    finally:
+        tracer.uninstall()
+    for key, original in before.items():
+        owner, attr = resolve(*key)
+        assert vars(owner)[attr] is original
+
+
+def test_the_scalar_check_passes_margin_stats_of_a_trained_model():
+    train = generate(TaskSpec(task="threshold", n=120, seed=3))
+    model = train_label_model(flatten(train), TrainConfig(epochs=3, seed=3),
+                              n_labels=train.universe)
+    records = margin_stats(model, train)
+    sol = solve_lambda(records)
+    assert len(records) == sum(len(s.y) for s in train.samples)
+    assert not sol.feasible
+    assert checks.check_scalar_solution(records, sol, HINGE_WEIGHT) == []
+
+
+def test_the_scalar_check_passes_margin_stats_of_an_oracle():
+    train = generate(TaskSpec(task="threshold", n=120, seed=3))
+    oracle = OracleLabelPosterior({s.x: s.y_set for s in train.samples}, train.universe)
+    records = margin_stats(oracle, train)
+    sol = solve_lambda(records)
+    assert sol.feasible
+    assert checks.check_scalar_solution(records, sol, HINGE_WEIGHT) == []
