@@ -50,7 +50,7 @@ from .models import (
     train_multilabel_baseline,
     train_sequence_model,
 )
-from .penalty import PenaltyParams, margin_stats, solve_lambda, solve_lambda_per_position
+from .penalty import PenaltyParams, solve_lambda_per_position
 
 # Each variant's penalty kind (None: the multi-label baseline, which has no
 # penalty), its gate's LambdaNet variant and its reproduce column.
@@ -202,15 +202,20 @@ def train_run(cfg: RunConfig, dataset: Dataset | None = None, out: str | None = 
 
     A ``base_model`` passed in (already trained on this config's split) is
     reused instead of fitted, and the report says so; so are ``gate_examples``.
-    ``source`` names a passed-in dataset in a refusal.
+    ``source`` names the file a passed-in dataset was read from: a refusal
+    names it, and the hashed config records the dataset's ``json_hash``.
     """
     dataset = dataset if dataset is not None else _build_dataset(cfg)
     _check_kind(cfg, dataset, source or "the dataset")
     train_ds, test_ds = tasks.split_train_test(dataset, cfg.split, cfg.seed)
-    art = RunArtifacts(cfg=cfg, dataset=dataset, train_split=train_ds, test_split=test_ds)
+    config = asdict(cfg)
+    if source:
+        config["dataset_hash"] = json_hash(asdict(dataset))
+    art = RunArtifacts(cfg=cfg, dataset=dataset, train_split=train_ds, test_split=test_ds,
+                       config_hash=json_hash(config))
     report: dict = {
         "version": __version__,
-        "config": asdict(cfg),
+        "config": config,
         "config_hash": art.config_hash,
         "n_train": len(train_ds),
         "n_test": len(test_ds),
@@ -223,10 +228,7 @@ def train_run(cfg: RunConfig, dataset: Dataset | None = None, out: str | None = 
         art.base_model = _fit_base_model(cfg, train_ds)
     report["train_losses"] = art.base_model.train_losses
     kind, gate_variant, _ = VARIANTS[cfg.variant]
-    if kind == "scalar":
-        sol = solve_lambda(margin_stats(art.base_model, train_ds))
-        penalty = PenaltyParams(variant="scalar", value=sol.value, solutions=(sol,))
-    elif kind == "per-position":
+    if kind in ("scalar", "per-position"):  # a label set gives the scalar penalty
         penalty = solve_lambda_per_position(art.base_model, train_ds)
     elif kind == "learned":
         gate, art.gate_examples = _fit_gate(cfg, gate_variant, art.base_model, train_ds,
@@ -267,8 +269,8 @@ def _fit_gate(cfg: RunConfig, variant: str, model, train_ds: Dataset, report: di
         examples = tuple(build_lambda_training_set(model, replace(train_ds, samples=part))
                          for part in (train_ds.samples[:cut], train_ds.samples[cut:]))
     train, holdout = examples
-    max_len = 1 if train_ds.kind == "labels" else train_ds.max_len
-    gate = train_lambda_net(train, variant, _train_cfg(cfg, 1), max_len=max_len)
+    # A label dataset declares no max_len; its examples sit at position 1.
+    gate = train_lambda_net(train, variant, _train_cfg(cfg, 1), max_len=train_ds.max_len or 1)
     report["gate_train_losses"] = gate.train_losses
     report["gate_validation_accuracy"] = gate_accuracy(gate, holdout)
     return gate, examples
@@ -278,7 +280,7 @@ def _persist_run(art: RunArtifacts, out: str) -> None:
     out = _fresh_dir(out, marker="config.json")
     _write_json(os.path.join(out, "config.json"), {
         "version": __version__,
-        "config": asdict(art.cfg),
+        "config": art.report["config"],
         "config_hash": art.config_hash,
     })
     save_dataset(art.dataset, os.path.join(out, "dataset.jsonl"))
@@ -448,6 +450,7 @@ def reproduce(task: str, out: str, n: int = RunConfig.n, seed: int = RunConfig.s
     configs = [RunConfig(task=task, variant=variant, n=n, seed=seed, epochs=epochs, data=data)
                for variant in TASKS[task][1]]
     dataset = _build_dataset(configs[0])
+    tasks.split_train_test(dataset, configs[0].split, seed)  # refuses too few samples
     out = _fresh_dir(out, marker="reproduce_report.json")
     scores: dict[str, float] = {}
     reports: dict[str, dict] = {}
@@ -528,7 +531,8 @@ def _format_table(task: str, metric: str, names: list[str], cells: list) -> str:
 # --- argument parsing ----------------------------------------------------------------
 
 
-def _merged_config(args: argparse.Namespace, required: tuple[str, ...] = ()) -> RunConfig:
+def _merged_config(args: argparse.Namespace, required: tuple[str, ...] = (),
+                   dataset: Dataset | None = None) -> RunConfig:
     doc: dict = _read_run_file(args.config, dict) if args.config else {}
     unknown = sorted(set(doc) - set(RunConfig.__dataclass_fields__))
     if unknown:
@@ -540,6 +544,13 @@ def _merged_config(args: argparse.Namespace, required: tuple[str, ...] = ()) -> 
     for key in required:
         if key not in doc:
             raise ValidationError(f"missing required config key {key!r}")
+    if dataset is not None:  # read from args.dataset: n counts its samples, data names it
+        given = [key for key in ("n", "data") if key in doc]
+        if given:
+            raise ValidationError(f"--dataset holds the samples; drop {' and '.join(given)}")
+        doc["n"] = len(dataset)
+        if doc["task"] == "multilabel-file":  # the one task that reads data
+            doc["data"] = args.dataset
     return RunConfig(**doc)
 
 
@@ -615,8 +626,8 @@ def main(argv: list[str] | None = None) -> int:
             print(path)
             return 0
         if args.cmd == "train":
-            cfg = _merged_config(args, required=("task", "variant"))
             dataset = load_dataset(args.dataset) if args.dataset else None
+            cfg = _merged_config(args, required=("task", "variant"), dataset=dataset)
             out = args.out or "run"
             train_run(cfg, dataset=dataset, out=out, source=args.dataset)
             print(out)

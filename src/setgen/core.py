@@ -93,9 +93,10 @@ class FlatPair:
 class Dataset:
     """A list of set-valued samples plus the declared output universe.
 
-    ``kind`` is ``"labels"`` (targets are label sets over ``universe`` ids)
-    or ``"sequences"`` (targets are sets of end-token-terminated sequences
-    over a vocabulary of size ``universe``, content length < ``max_len``).
+    ``kind`` is ``"labels"`` (targets are label sets over ``universe`` ids,
+    and no ``max_len``) or ``"sequences"`` (targets are sets of
+    end-token-terminated sequences over a vocabulary of size ``universe``,
+    content length < ``max_len``).
     """
 
     kind: str
@@ -110,6 +111,8 @@ class Dataset:
             raise ValidationError(f"unknown dataset kind {self.kind!r}")
         if self.universe <= 0:
             raise ValidationError("universe size must be positive")
+        if self.kind == "labels" and self.max_len:  # calibration reads 0 as one position
+            raise ValidationError("a label dataset declares no max_len")
         for i, s in enumerate(self.samples):
             if self.kind == "labels":
                 if len(s.x) != self.input_dim:

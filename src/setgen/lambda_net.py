@@ -13,6 +13,9 @@ gate labels each token emit (positive) or suppress (negative).  Two variants:
 Inputs are pre-softmax scores: they carry the same ordering information as
 losses or probabilities but stay well scaled for the gate networks.
 
+Training examples are calibration's node table, :func:`setgen.penalty.position_nodes`,
+in which a label set is the one-position case.
+
 Positive tokens are rare, so training up-weights them by ``pos_weight =
 #neg/#pos``.  That weighting shifts the raw score's prior by
 ``log(pos_weight)``; the gate stores the weight and subtracts the shift at
@@ -29,7 +32,7 @@ import numpy as np
 from . import nn
 from .core import Dataset, TokenSeq, TrainingError, ValidationError
 from .models import TrainConfig, _run_epochs
-from .penalty import prefix_nodes
+from .penalty import position_nodes
 
 log = logging.getLogger(__name__)
 
@@ -260,36 +263,18 @@ class LambdaNet:
 
 
 def build_lambda_training_set(model, dataset: Dataset) -> GateExamples:
-    """Gate examples: one per (sample, distinct ground-truth prefix).
+    """Gate examples: the :func:`~setgen.penalty.position_nodes` of a dataset.
 
-    A sequence sample gives one example per teacher-forced prefix, whose
-    targets are the tokens that continue some target.  A label sample is the
-    one-position case: one example at position 1 whose targets are its label
-    set, with the scores of one batched ``model.scores`` call over the
-    dataset.  Positives are rare, so the class balance is logged for the loss
-    weighting downstream.
+    One example per node, with the tokens the node's targets produce as its
+    positives: per distinct target prefix of a sequence sample, and per
+    label sample at position 1.  Positives are rare, so the class balance is
+    logged for the loss weighting downstream.
     """
-    if dataset.kind == "labels":
-        n = len(dataset.samples)
-        X = np.asarray([s.x for s in dataset.samples], dtype=float).reshape(n, dataset.input_dim)
-        logits, positions = model.scores(X), np.ones(n, dtype=int)
-        nexts_of = [list(s.y) for s in dataset.samples]
-    else:
-        logits, positions, nexts_of = [], [], []
-        for sample in dataset.samples:
-            if not sample.y:
-                continue
-            for prefix, row, nexts in prefix_nodes(model, sample):
-                logits.append(row)
-                positions.append(len(prefix) + 1)
-                nexts_of.append(nexts)
-    targets = np.zeros((len(nexts_of), dataset.universe))
-    for i, nexts in enumerate(nexts_of):
-        targets[i, nexts] = 1.0
-    examples = GateExamples(np.reshape(logits, targets.shape), positions, targets)
+    logits, positions, counts = position_nodes(model, dataset)
+    examples = GateExamples(logits, positions, counts > 0)
     if len(examples):
         log.info("gate training set: %d examples, %.1f%% positive tokens",
-                 len(examples), 100.0 * np.mean(targets))
+                 len(examples), 100.0 * np.mean(examples.targets))
     return examples
 
 

@@ -8,8 +8,11 @@ mean clipped to the interval.  When the constraints conflict (interval
 empty) the exact minimizer of the quadratic plus weighted hinge penalties is
 a graceful compromise, and the result is flagged infeasible.
 
-Sequence sets get one penalty per output position, each solved the same way
-on records built from teacher-forced next-token posteriors.
+Calibration reads one node table, :func:`position_nodes`: the base model's
+scores at every node the targets visit, one per distinct target prefix of a
+sequence sample and one at position 1 per label sample.  Each position is
+solved on its own nodes, so a label set's one position is the scalar
+penalty; the gate examples of :mod:`setgen.lambda_net` are the same table.
 
 Records are held as a struct of arrays (:class:`MarginRecords`): aligned
 ``p``, ``l_pos_min`` and ``l_neg_max`` vectors, built in one vectorized pass
@@ -21,7 +24,7 @@ accepted wherever records are read, and gives the same solution bit for bit.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -235,31 +238,6 @@ def margin_records(probs: np.ndarray, counts: np.ndarray) -> MarginRecords:
                          l_neg_max=np.repeat(l_neg_max[rows], reps))
 
 
-def margin_stats(model, dataset: Dataset) -> MarginRecords:
-    """One record per (sample, target label) of a label dataset, in sample order.
-
-    The posteriors of every sample are stacked and turned into records in
-    one :func:`margin_records` pass.  Samples whose negative set is empty
-    (targets covering the whole universe) contribute nothing and are logged,
-    since no negative bounds exist there.
-    """
-    if dataset.kind != "labels":
-        raise ValidationError("margin_stats expects a label dataset")
-    if not dataset.samples:
-        raise ValidationError("margin_stats needs at least one sample")
-    for i, sample in enumerate(dataset.samples):
-        if not sample.y:
-            raise ValidationError(f"sample {i} has an empty target set")
-    probs = np.stack([np.asarray(model.posterior(s.x), dtype=float) for s in dataset.samples])
-    counts = np.zeros(probs.shape, dtype=int)
-    counts[[i for i, s in enumerate(dataset.samples) for _ in s.y],
-           [k for s in dataset.samples for k in s.y]] = 1
-    skipped = int(np.count_nonzero(counts.all(axis=1)))
-    if skipped:
-        log.warning("margin_stats: skipped %d sample(s) with empty negative sets", skipped)
-    return margin_records(probs, counts)
-
-
 def _objective(diffs: np.ndarray, lam: float) -> float:
     return float(np.sum((diffs - lam) ** 2))
 
@@ -328,62 +306,98 @@ def prefix_nodes(model, sample: SetSample):
     """Teacher-forced walk over the distinct prefixes of one sample's targets.
 
     Yields ``(prefix, logits, nexts)`` in sorted prefix order from one
-    ``DecoderSession``; ``nexts`` holds the next token of every target that
-    extends the prefix, one entry per target, so ``set(nexts)`` is the set
-    of tokens that keep the prefix on some target.
+    ``DecoderSession``, which a sample without targets never opens; ``nexts``
+    holds the next token of every target that extends the prefix, one entry
+    per target, so ``set(nexts)`` is the set of tokens that keep the prefix
+    on some target.
     """
     nexts: dict[TokenSeq, list[int]] = {}
     for target in sample.y:
         for k in range(len(target)):
             nexts.setdefault(tuple(target[:k]), []).append(int(target[k]))
-    session = DecoderSession(model, sample.x)
+    session = DecoderSession(model, sample.x) if nexts else None
     for prefix in sorted(nexts):
         yield prefix, session.logits_for(prefix), nexts[prefix]
 
 
-def solve_lambda_per_position(model, dataset: Dataset) -> PenaltyParams:
-    """One closed-form penalty per output position of a sequence dataset.
+def position_nodes(model, dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every node calibration sees: (N, V) logits, (N,) 1-based positions, (N, V) counts.
 
-    Records at position j come from the teacher-forced next-token posterior
-    of every (sample, target) pair whose target reaches that position: the
-    logits of all prefixes of length j - 1 go through one softmax and one
-    :func:`margin_records` pass.  Positions with no records inherit the
-    previous position's value and are flagged as carried.
+    A label sample is one node at position 1, its row of one batched
+    ``model.scores`` call, whose counts mark its labels.  A sequence sample
+    gives its :func:`prefix_nodes` at position ``len(prefix) + 1``, whose
+    counts hold how many targets continue the prefix with each token.
     """
-    if dataset.kind != "sequences":
-        raise ValidationError("per-position calibration expects a sequence dataset")
-    max_len, vocab = dataset.max_len, dataset.universe
-    # Each position's logits and next-token counts, as the bytes of row-major
-    # (nodes, vocab) arrays: a node costs its numbers and no array object.
-    logits_at = [bytearray() for _ in range(max_len)]
-    counts_at = [bytearray() for _ in range(max_len)]
+    vocab = dataset.universe
+    if dataset.kind == "labels":
+        n = len(dataset.samples)
+        X = np.asarray([s.x for s in dataset.samples], dtype=float).reshape(n, dataset.input_dim)
+        counts = np.zeros((n, vocab), dtype=np.intp)
+        counts[[i for i, s in enumerate(dataset.samples) for _ in s.y],
+               [k for s in dataset.samples for k in s.y]] = 1
+        return np.asarray(model.scores(X), dtype=float), np.ones(n, dtype=np.intp), counts
+    # Gathered as the bytes of row-major arrays: a node costs no array object.
+    logits, counts, positions = bytearray(), bytearray(), []
     for sample in dataset.samples:
+        for prefix, row, nexts in prefix_nodes(model, sample):
+            logits += np.asarray(row, dtype=float).tobytes()
+            counts += np.bincount(nexts, minlength=vocab).tobytes()
+            positions.append(len(prefix) + 1)
+    return (np.frombuffer(logits).reshape(-1, vocab), np.asarray(positions, dtype=np.intp),
+            np.frombuffer(counts, dtype=np.intp).reshape(-1, vocab))
+
+
+def _records_at(nodes: tuple, position: int) -> MarginRecords:
+    """:func:`margin_records` of the nodes at one position, through one softmax.
+
+    A node that produces the whole universe has no negative bound; it is logged.
+    """
+    logits, positions, counts = nodes
+    at = positions == position
+    logits, counts = logits[at], counts[at]
+    skipped = int(np.count_nonzero(counts.all(axis=1)))
+    if skipped:
+        log.warning("skipped %d node(s) at position %d with empty negative sets",
+                    skipped, position)
+    return margin_records(nn.softmax(logits, axis=1), counts)
+
+
+def margin_stats(model, dataset: Dataset) -> MarginRecords:
+    """The margin records of the :func:`position_nodes` at position 1, in sample order.
+
+    On a label dataset: one record per (sample, target label).  Refuses an
+    empty dataset and a sample without targets.
+    """
+    if not dataset.samples:
+        raise ValidationError("margin_stats needs at least one sample")
+    for i, sample in enumerate(dataset.samples):
         if not sample.y:
-            continue
-        for prefix, logits, nexts in prefix_nodes(model, sample):
-            logits_at[len(prefix)] += np.asarray(logits, dtype=float).tobytes()
-            counts_at[len(prefix)] += np.bincount(nexts, minlength=vocab).tobytes()
+            raise ValidationError(f"sample {i} has an empty target set")
+    return _records_at(position_nodes(model, dataset), 1)
+
+
+def solve_lambda_per_position(model, dataset: Dataset) -> PenaltyParams:
+    """One closed-form penalty per position 1..``max_len`` of the :func:`position_nodes`.
+
+    A position without records inherits the previous position's value,
+    flagged as carried.  A label dataset declares no ``max_len``: its one
+    position is the scalar solve, returned as the ``scalar`` penalty.
+    """
+    nodes = position_nodes(model, dataset)
     solutions: list[LambdaSolution] = []
-    last: LambdaSolution | None = None
-    n_empty = 0
-    for j in range(max_len):
-        logits = np.frombuffer(logits_at[j], dtype=float).reshape(-1, vocab)
-        counts = np.frombuffer(counts_at[j], dtype=np.intp).reshape(-1, vocab)
-        records = margin_records(nn.softmax(logits, axis=1), counts)
+    for j in range(1, (dataset.max_len or 1) + 1):
+        records = _records_at(nodes, j)
         if len(records):
-            last = solve_lambda(records)
-            solutions.append(last)
+            solutions.append(solve_lambda(records))
+        elif not solutions:
+            raise ValidationError("no margin records at any position; is the model trained?")
         else:
-            n_empty += 1
-            if last is None:
-                raise ValidationError("no margin records at any position; is the model trained?")
-            solutions.append(LambdaSolution(value=last.value, interval=last.interval,
-                                            candidate=last.candidate,
-                                            objective=last.objective, carried=True))
-    if n_empty:
-        log.info("per-position calibration: %d position(s) carried forward", n_empty)
-    return PenaltyParams(
-        variant="per-position",
-        values=tuple(s.value for s in solutions),
-        solutions=tuple(solutions),
-    )
+            solutions.append(replace(solutions[-1], carried=True))
+    n_carried = sum(s.carried for s in solutions)
+    if n_carried:
+        log.info("per-position calibration: %d position(s) carried forward", n_carried)
+    if not dataset.max_len:
+        return PenaltyParams(variant="scalar", value=solutions[0].value,
+                             solutions=tuple(solutions))
+    return PenaltyParams(variant="per-position", values=tuple(s.value for s in solutions),
+                         solutions=tuple(solutions))

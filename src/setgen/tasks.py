@@ -126,9 +126,12 @@ def generate(spec: TaskSpec) -> Dataset:
 
 def split_train_test(dataset: Dataset, train_frac: float = 0.7, seed: int = 0
                      ) -> tuple[Dataset, Dataset]:
-    """Seed-deterministic disjoint split covering all samples."""
+    """Seed-deterministic disjoint split covering all samples; each side holds one or more."""
     if not 0.0 < train_frac < 1.0:
         raise ValidationError("train fraction must lie in (0, 1)")
+    if len(dataset.samples) < 2:
+        raise ValidationError(f"a train/test split needs at least 2 samples, "
+                              f"the dataset holds {len(dataset.samples)}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(dataset.samples))
     cut = int(round(train_frac * len(order)))

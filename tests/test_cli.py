@@ -6,7 +6,7 @@ import json
 import os
 import shutil
 import tempfile
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -23,7 +23,7 @@ from setgen.cli import (
     reproduce,
     train_run,
 )
-from setgen.core import ValidationError, load_dataset
+from setgen.core import ValidationError, json_hash, load_dataset
 from setgen.lambda_net import LambdaNet
 from setgen.metrics import EvalReport
 from setgen.models import load_checkpoint
@@ -511,6 +511,22 @@ def test_train_refuses_a_sequence_input_outside_input_vocab(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_refuses_a_label_dataset_that_declares_a_max_len(tmp_path, capsys):
+    # a label set is calibrated as one output position, so a label file
+    # declaring a sequence length would be read as several
+    assert main(["gen", "--task", "threshold", "--n", "20", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "threshold.jsonl"
+    head, _, rows = read(path).partition("\n")
+    path.write_text(json.dumps({**json.loads(head), "max_len": 5}) + "\n" + rows)
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["train", "--task", "threshold", "--variant", "scalar", "--epochs", "1",
+                 "--dataset", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {path}: a label dataset declares no max_len"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("task, variant", [("threshold", "scalar"), ("task1", "baseline"),
                                            ("task2", "per-position")])
 def test_train_refuses_data_where_no_task_reads_it(tmp_path, capsys, task, variant):
@@ -520,6 +536,66 @@ def test_train_refuses_data_where_no_task_reads_it(tmp_path, capsys, task, varia
                  "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "--data" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("given", [["--n", "5000"], ["--data", "bogus.txt"],
+                                   {"n": 5000}, {"data": "bogus.txt"}],
+                         ids=["n-flag", "data-flag", "n-key", "data-key"])
+def test_train_from_a_dataset_file_refuses_n_and_data(tmp_path, capsys, given):
+    assert main(["gen", "--task", "threshold", "--n", "30", "--out", str(tmp_path)]) == 0
+    argv = ["train", "--task", "threshold", "--variant", "scalar", "--epochs", "2",
+            "--dataset", str(tmp_path / "threshold.jsonl")]
+    if isinstance(given, dict):
+        conf = tmp_path / "c.json"
+        conf.write_text(json.dumps(given))
+        given = ["--config", str(conf)]
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main([*argv, *given, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --dataset holds the samples")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("task, variant", [("threshold", "scalar"),
+                                           ("multilabel-file", "learned-windowed")])
+def test_train_from_a_dataset_file_records_what_the_file_holds(tmp_path, task, variant):
+    if task == "multilabel-file":
+        src = tmp_path / "ml.txt"
+        src.write_text("".join(f"{i % 3},{(i + 1) % 4} 0:{i / 30:.3f} 1:{1 - i / 30:.3f}\n"
+                               for i in range(30)))
+        assert main(["import", "--data", str(src), "--out", str(tmp_path)]) == 0
+        path = tmp_path / "imported.jsonl"
+    else:
+        assert main(["gen", "--task", task, "--n", "30", "--out", str(tmp_path)]) == 0
+        path = tmp_path / f"{task}.jsonl"
+    out = tmp_path / "run"
+    assert main(["train", "--task", task, "--variant", variant, "--epochs", "2",
+                 "--dataset", str(path), "--out", str(out)]) == 0
+    saved = json.loads(read(out / "config.json"))
+    config = saved["config"]
+    assert config["n"] == 30
+    assert config["data"] == (str(path) if task == "multilabel-file" else "")
+    assert config["dataset_hash"] == json_hash(asdict(load_dataset(str(path))))
+    assert saved["config_hash"] == json_hash(config)
+    assert json.loads(read(out / "train_report.json"))["config"] == config
+    assert main(["eval", "--run", str(out), "--out", str(tmp_path / "e")]) == 0
+    evaluated = json.loads(read(tmp_path / "e" / "eval_report.json"))
+    assert evaluated["config_hash"] == saved["config_hash"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--task", "threshold", "--variant", "baseline", "--n", "1"],
+    ["reproduce", "task1", "--n", "1"],
+    ["reproduce", "task2", "--n", "1"],
+], ids=["train-baseline", "reproduce-task1", "reproduce-task2"])
+def test_a_one_sample_dataset_is_refused_before_any_output(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main([*argv, "--epochs", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: a train/test split needs at least 2 samples, the dataset holds 1"]
     assert not out.exists()
 
 

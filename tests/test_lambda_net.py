@@ -107,6 +107,21 @@ def test_example_build_matches_per_prefix_reference():
         assert np.array_equal(examples.logits[i], logits)
         assert examples.positions[i] == position
         assert examples.targets[i].tolist() == targets
+    # A label sample is one example at position 1: its row of one batched
+    # ``scores`` call, with its labels as targets.
+    labels = Dataset(kind="labels", samples=(SetSample(x=(0.0, 1.0), y=(0, 2)),
+                                             SetSample(x=(1.0, 0.0), y=(1,)),
+                                             SetSample(x=(0.5, 0.5), y=(0, 1, 2))),
+                     universe=4, input_dim=2)
+    model = LabelModel(2, 4, (5,), seed=1)
+    examples = build_lambda_training_set(model, labels)
+    want_logits = model.scores(np.array([s.x for s in labels.samples]))
+    want_targets = np.zeros((3, 4))
+    for i, sample in enumerate(labels.samples):
+        want_targets[i, list(sample.y)] = 1.0
+    assert examples.logits.tobytes() == want_logits.tobytes()
+    assert examples.positions.tolist() == [1, 1, 1]
+    assert examples.targets.tobytes() == want_targets.tobytes()
 
 
 def test_gate_examples_check_their_arrays():

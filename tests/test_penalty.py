@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from setgen import nn
 from setgen.core import Dataset, SetSample, ValidationError, flatten
+from setgen.decoder import position_tokens
 from setgen.models import (
+    LabelModel,
     SequenceModel,
     TrainConfig,
     train_label_model,
@@ -22,11 +24,12 @@ from setgen.penalty import (
     _hinge_objective,
     margin_records,
     margin_stats,
+    position_nodes,
     prefix_nodes,
     solve_lambda,
     solve_lambda_per_position,
 )
-from setgen.tasks import TaskSpec, generate
+from setgen.tasks import TaskSpec, generate, split_train_test
 from tests.conftest import PrefixStepper, position_candidates
 
 GRID = np.arange(-1.0, 1.0 + 1e-4, 1e-4)
@@ -75,11 +78,14 @@ def objective(records, lam):
 
 
 class FixedPosterior:
+    """Score rows looked up by input; their softmax is the posterior."""
+
     def __init__(self, table):
         self.table = table
 
-    def posterior(self, x):
-        return np.asarray(self.table[x], dtype=float)
+    def scores(self, X):
+        return np.asarray([self.table[tuple(x)] for x in np.atleast_2d(X).tolist()],
+                          dtype=float)
 
 
 # --- margin records -------------------------------------------------------------
@@ -101,20 +107,22 @@ def test_margin_stats_two_positive_group():
     ds = Dataset(kind="labels",
                  samples=(SetSample(x=(0.0,), y=(0, 1)),), universe=3, input_dim=1)
     model = FixedPosterior({(0.0,): [0.6, 0.4, 0.2]})
+    q = nn.softmax(np.array([0.6, 0.4, 0.2]))
     records = list(margin_stats(model, ds))
     assert len(records) == 2
-    assert records[0] == MarginRecord(p=0.6, l_pos_min=0.4, l_neg_max=0.2)
-    assert records[1] == MarginRecord(p=0.4, l_pos_min=0.4, l_neg_max=0.2)
-    assert records[0].p_hat == pytest.approx(0.3)
+    assert records[0] == MarginRecord(p=q[0], l_pos_min=q[1], l_neg_max=q[2])
+    assert records[1] == MarginRecord(p=q[1], l_pos_min=q[1], l_neg_max=q[2])
+    assert records[0].p_hat == pytest.approx((q[1] + q[2]) / 2)
 
 
 def test_margin_stats_singleton_positive():
     ds = Dataset(kind="labels",
                  samples=(SetSample(x=(0.0,), y=(0,)),), universe=3, input_dim=1)
     model = FixedPosterior({(0.0,): [0.9, 0.05, 0.05]})
+    q = nn.softmax(np.array([0.9, 0.05, 0.05]))
     (rec,) = margin_stats(model, ds)
-    assert rec == MarginRecord(p=0.9, l_pos_min=0.9, l_neg_max=0.05)
-    assert rec.p_hat == pytest.approx(0.475)
+    assert rec == MarginRecord(p=q[0], l_pos_min=q[0], l_neg_max=q[1])
+    assert rec.p_hat == pytest.approx((q[0] + q[1]) / 2)
 
 
 def test_margin_stats_skips_full_universe_group(caplog):
@@ -133,10 +141,11 @@ def test_margin_stats_keeps_samples_with_the_same_input_apart():
                  samples=(SetSample(x=(0.0,), y=(0,)), SetSample(x=(0.0,), y=(1, 2))),
                  universe=4, input_dim=1)
     model = FixedPosterior({(0.0,): [0.4, 0.3, 0.2, 0.1]})
+    q = nn.softmax(np.array([0.4, 0.3, 0.2, 0.1]))
     assert list(margin_stats(model, ds)) == [
-        MarginRecord(p=0.4, l_pos_min=0.4, l_neg_max=0.3),
-        MarginRecord(p=0.3, l_pos_min=0.2, l_neg_max=0.4),
-        MarginRecord(p=0.2, l_pos_min=0.2, l_neg_max=0.4),
+        MarginRecord(p=q[0], l_pos_min=q[0], l_neg_max=q[1]),
+        MarginRecord(p=q[1], l_pos_min=q[2], l_neg_max=q[0]),
+        MarginRecord(p=q[2], l_pos_min=q[2], l_neg_max=q[0]),
     ]
 
 
@@ -344,6 +353,56 @@ def test_prefix_nodes_walk_each_prefix_once_and_match_a_replay():
         assert np.array_equal(model.step_logits(sample.x, prefix), replay)
 
 
+# --- the node table ----------------------------------------------------------------
+
+
+def test_position_nodes_give_each_label_sample_one_node_at_position_one():
+    ds = Dataset(kind="labels", samples=(SetSample(x=(0.0, 1.0), y=(0, 2)),
+                                         SetSample(x=(1.0, 0.0), y=(1,)),
+                                         SetSample(x=(0.5, 0.5), y=(0, 1, 2))),
+                 universe=4, input_dim=2)
+    model = LabelModel(2, 4, (5,), seed=1)
+    logits, positions, counts = position_nodes(model, ds)
+    assert logits.tobytes() == model.scores(np.array([s.x for s in ds.samples])).tobytes()
+    assert positions.tolist() == [1, 1, 1]
+    assert counts.tolist() == [[1, 0, 1, 0], [0, 1, 0, 0], [1, 1, 1, 0]]
+
+
+def test_position_nodes_of_a_sequence_dataset_are_its_prefix_nodes():
+    ds = seq_dataset([["0551", "052"], ["3"], [], ["41", "4", "77"]], max_len=5)
+    model = SequenceModel(input_vocab=10, vocab=11, max_len=5, embed_dim=5,
+                          enc_hidden=4, dec_hidden=6, seed=2)
+    logits, positions, counts = position_nodes(model, ds)
+    want = [(row, len(prefix) + 1, np.bincount(nexts, minlength=ds.universe))
+            for sample in ds.samples for prefix, row, nexts in prefix_nodes(model, sample)]
+    assert len(logits) == len(positions) == len(counts) == len(want) == 13
+    for i, (row, position, row_counts) in enumerate(want):
+        assert logits[i].tobytes() == row.tobytes()
+        assert positions[i] == position
+        assert counts[i].tolist() == row_counts.tolist()
+
+
+def test_label_calibration_reads_the_node_table():
+    train = generate(TaskSpec(task="threshold", n=120, seed=3))
+    model = train_label_model(flatten(train), TrainConfig(epochs=3, seed=3),
+                              n_labels=train.universe)
+    logits, _, counts = position_nodes(model, train)
+    want = margin_records(nn.softmax(logits, axis=1), counts)
+    records = margin_stats(model, train)
+    for name in ("p", "l_pos_min", "l_neg_max"):
+        assert getattr(records, name).tobytes() == getattr(want, name).tobytes()
+    penalty = solve_lambda_per_position(model, train)
+    sol = solve_lambda(records)
+    assert penalty.variant == "scalar" and penalty.values is None
+    assert penalty.value == sol.value and penalty.solutions == (sol,)
+
+
+def test_margin_stats_of_a_sequence_dataset_are_its_first_position_records():
+    ds = seq_dataset([["3"], ["7", "2"], ["41", "4"]], max_len=3)
+    params = solve_lambda_per_position(OracleStepper(ds), ds)
+    assert solve_lambda(margin_stats(OracleStepper(ds), ds)) == params.solutions[0]
+
+
 def test_margin_records_one_per_produced_element():
     probs = np.array([[0.5, 0.3, 0.2]])
     records = margin_records(probs, [[1, 2, 0]])
@@ -471,13 +530,16 @@ def test_per_position_feasible_under_memorizing_model():
     assert all(s.feasible for s in params.solutions)
 
 
-# The reprs below are what the per-record implementation (one MarginRecord
-# object per record, one posterior row at a time) solved to.  The array form
-# must give the same bits: the solver sorts before it sums, min and max are
-# exact, and a row-wise softmax equals the per-row one.
+# The reprs below pin calibration's bits.  The task2 values are what the
+# per-record implementation (one MarginRecord object per record, one
+# posterior row at a time) solved to: the array form gives the same bits,
+# because the solver sorts before it sums, min and max are exact, and a
+# row-wise softmax equals the per-row one.  The threshold value comes from
+# one batched ``model.scores`` call, which rounds apart from per-sample
+# ``posterior`` calls in the last digits (see the reference test below).
 
 
-def test_threshold_lambda_is_bit_identical_to_the_per_record_path():
+def test_threshold_lambda_is_pinned_on_batched_scores():
     train = generate(TaskSpec(task="threshold", n=120, seed=3))
     model = train_label_model(flatten(train), TrainConfig(epochs=3, seed=3),
                               n_labels=train.universe)
@@ -485,8 +547,34 @@ def test_threshold_lambda_is_bit_identical_to_the_per_record_path():
     sol = solve_lambda(records)
     assert len(records) == 661
     assert sol.candidate == "infeasible"
-    assert repr(sol.value) == "0.07382226361126945"
+    assert repr(sol.value) == "0.07382226361126948"
     assert repr(sol.objective) == "1.41483654938444"
+
+
+def per_sample_margin_records(model, dataset):
+    """Records from one ``LabelModel.posterior`` call per sample: the path
+    the batched node table replaced, kept here as a reference."""
+    probs = np.stack([model.posterior(s.x) for s in dataset.samples])
+    counts = np.zeros(probs.shape, dtype=int)
+    for i, s in enumerate(dataset.samples):
+        counts[i, list(s.y)] = 1
+    return margin_records(probs, counts)
+
+
+def test_threshold_lambda_and_label_sets_agree_with_per_sample_posteriors():
+    data = generate(TaskSpec(task="threshold", n=600, seed=7))
+    train, test = split_train_test(data, 0.7, seed=7)
+    model = train_label_model(flatten(train), TrainConfig(epochs=20, seed=7),
+                              n_labels=train.universe)
+    penalty = solve_lambda_per_position(model, train)
+    reference = solve_lambda(per_sample_margin_records(model, train))
+    assert penalty.variant == "scalar"
+    assert abs(penalty.value - reference.value) <= 1e-15
+    assert penalty.solutions[0].candidate == reference.candidate
+    rows = model.scores(np.array([s.x for s in test.samples]))
+    decoded = [[position_tokens(pen, row, 1)[0] for row in rows]
+               for pen in (penalty, PenaltyParams(variant="scalar", value=reference.value))]
+    assert decoded[0] == decoded[1]
 
 
 def test_task2_per_position_values_are_bit_identical_to_the_per_record_path():

@@ -1,12 +1,15 @@
 """What the benchmark in ``perfbench/`` relies on in the library.
 
-The benchmark wraps the functions named in ``tracing.TRACED`` and checks
-the scalar penalty with ``checks.check_scalar_solution``.  These tests load
-both modules from ``perfbench/`` and only read them, so that a library change
-that breaks the benchmark fails here rather than in a benchmark run.
+The benchmark wraps the functions named in ``tracing.TRACED``, checks the
+scalar penalty with ``checks.check_scalar_solution``, and drives the library
+through the two pipelines of ``worker.py``.  These tests load those modules
+from ``perfbench/`` and only read them, so that a library change that breaks
+the benchmark fails here rather than in a benchmark run.
 """
 
 import importlib.util
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -25,12 +28,28 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 def load(name):
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # where a dataclass decorator looks its module up
     spec.loader.exec_module(module)
     return module
 
 
 tracing = load("tracing")
 checks = load("checks")
+
+
+def load_worker():
+    """``worker.py``, which imports ``checks`` from its own directory and puts
+    ``src/`` on ``sys.path``; both are undone once it is loaded."""
+    path = list(sys.path)
+    sys.modules["checks"] = checks
+    try:
+        return load("worker")
+    finally:
+        sys.path[:] = path
+        del sys.modules["checks"]
+
+
+worker = load_worker()
 
 
 def resolve(module_name, path):
@@ -85,3 +104,20 @@ def test_the_scalar_check_passes_margin_stats_of_an_oracle():
     sol = solve_lambda(records)
     assert sol.feasible
     assert checks.check_scalar_solution(records, sol, HINGE_WEIGHT) == []
+
+
+@pytest.mark.parametrize("name, pipeline", [("threshold-labels", "threshold_pipeline"),
+                                            ("task2-seqsets", "task2_pipeline")])
+def test_the_benchmark_pipelines_run_at_toy_size(name, pipeline):
+    wl = replace(worker.WORKLOADS[name], n_train=60, n_test=10, epochs=2, gate_epochs=2)
+    train = generate(TaskSpec(task=wl.task, n=wl.n_train, seed=worker.TRAIN_SEED))
+    test = generate(TaskSpec(task=wl.task, n=wl.n_test, seed=worker.HELD_OUT_SEED))
+    ops, latencies, failures = [], [], []
+    decode_one, variants, fitted = getattr(worker, pipeline)(
+        setgen, wl, train, worker.Stages(None), ops)
+    first_round = worker.decode_round(decode_one, variants, test.samples, latencies, failures)
+    assert failures == []
+    assert len(latencies) == len(variants) * wl.n_test
+    if wl.task == "threshold":
+        verdict = worker.run_checks(setgen, wl, train, test, fitted, first_round)
+        assert verdict["problems"] == []
