@@ -2,9 +2,10 @@
 
 Verbs: ``gen``, ``import``, ``train``, ``eval``, ``reproduce``.  Every run
 writes a resolved config (with its hash and the library version) next to its
-artifacts, and nothing mutates a previously written run directory, so any
-result can be re-derived bit-identically from what is on disk.  Reports never
-embed wall-clock values; timing goes to stderr only.
+artifacts, and nothing mutates a written run directory, so any result can be
+re-derived bit-identically from disk (a ``reproduce`` tree stores its dataset
+and base model once, in ``base/``).  Reports never embed wall-clock values;
+timing goes to stderr only.
 
 Exit codes: 0 success, 1 validation error, 2 training failure,
 3 criterion failure (``reproduce`` only).
@@ -14,12 +15,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import operator
 import os
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -196,16 +199,18 @@ class RunArtifacts:
 
 
 def train_run(cfg: RunConfig, dataset: Dataset | None = None, out: str | None = None,
-              base_model=None, gate_examples=None, source: str | None = None
-              ) -> RunArtifacts:
+              base_model=None, gate_examples=None, source: str | None = None,
+              base: str | None = None) -> RunArtifacts:
     """Train the base model and calibrate the configured penalty variant.
 
     A ``base_model`` passed in (already trained on this config's split) is
     reused instead of fitted, and the report says so; so are ``gate_examples``.
     ``source`` names the file a passed-in dataset was read from: a refusal
     names it, and the hashed config records the dataset's ``json_hash``.
+    ``n`` records the dataset's size, and ``base`` goes to ``_persist_run``.
     """
     dataset = dataset if dataset is not None else _build_dataset(cfg)
+    cfg = replace(cfg, n=len(dataset))
     _check_kind(cfg, dataset, source or "the dataset")
     train_ds, test_ds = tasks.split_train_test(dataset, cfg.split, cfg.seed)
     config = asdict(cfg)
@@ -240,7 +245,7 @@ def train_run(cfg: RunConfig, dataset: Dataset | None = None, out: str | None = 
         report["penalty"] = art.penalty.to_dict()
     art.report = report
     if out:
-        _persist_run(art, out)
+        _persist_run(art, out, base)
     return art
 
 
@@ -276,15 +281,28 @@ def _fit_gate(cfg: RunConfig, variant: str, model, train_ds: Dataset, report: di
     return gate, examples
 
 
-def _persist_run(art: RunArtifacts, out: str) -> None:
+def _persist_run(art: RunArtifacts, out: str, base: str | None = None) -> None:
+    """Write a run; with ``base``, its dataset and base model go there once, and
+    ``config.json``'s ``refs`` maps each name to its path from ``out`` and SHA-256.
+    """
     out = _fresh_dir(out, marker="config.json")
+    refs = {}
+    for name, save in (("dataset.jsonl", lambda p: save_dataset(art.dataset, p)),
+                       (_model_file(art.cfg), lambda p: save_checkpoint(art.base_model, p))):
+        if base is None or name == "baseline.json":  # the baseline's model is its own
+            save(os.path.join(out, name))
+            continue
+        path = os.path.join(_fresh_dir(base), name)
+        if not os.path.exists(path):
+            save(path)
+        refs[name] = {"path": os.path.relpath(path, out),
+                      "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
     _write_json(os.path.join(out, "config.json"), {
         "version": __version__,
         "config": art.report["config"],
         "config_hash": art.config_hash,
+        **({"refs": refs} if refs else {}),
     })
-    save_dataset(art.dataset, os.path.join(out, "dataset.jsonl"))
-    save_checkpoint(art.base_model, os.path.join(out, _model_file(art.cfg)))
     if art.penalty is not None:
         if art.penalty.classifier is not None:
             save_checkpoint(art.penalty.classifier, os.path.join(out, GATE_FILE))
@@ -302,19 +320,21 @@ def _read_run_file(path: str, parse):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return parse(json.load(fh))
-        except (KeyError, TypeError, ValueError) as exc:  # bad JSON is a ValueError
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:  # bad JSON: ValueError
             raise ValidationError(f"{path}: malformed ({type(exc).__name__}: {exc})") from exc
 
 
-def _run_config(doc) -> tuple[RunConfig, str]:
-    """The config of a ``config.json`` document and the hash of what it runs."""
+def _run_config(doc, run_dir: str) -> tuple[RunConfig, str, dict]:
+    """A ``config.json``'s config, the hash of what it runs, and refs: name -> (path, sha256)."""
     # Skip keys that older versions wrote and RunConfig no longer has (the
     # eval thread count, model sizes, thresholds, the batch size, the branch
     # cap and the gate's epochs), so their run directories still load.  The
     # hash keeps them, so an older run hashes as it did when it was written.
     saved = doc["config"]
     cfg = RunConfig(**{k: saved[k] for k in RunConfig.__dataclass_fields__ if k in saved})
-    return cfg, json_hash({**saved, **asdict(cfg)})
+    refs = {name: (os.path.join(run_dir, ref["path"]), ref["sha256"])
+            for name, ref in doc.get("refs", {}).items()}
+    return cfg, json_hash({**saved, **asdict(cfg)}), refs
 
 
 def _load_model(path: str, family: str):
@@ -328,12 +348,17 @@ def _load_model(path: str, family: str):
 def load_run(run_dir: str) -> RunArtifacts:
     """Rehydrate the files ``train_run`` wrote for the config's variant.
 
-    Refuses a missing or malformed file, a dataset of another kind than the
-    task or that breaks its rule, a model of another family than the
-    dataset, and a penalty of another kind than the variant.
+    Files are read from ``run_dir``, or where ``config.json``'s ``refs`` points.  Refuses a
+    missing or malformed file, a referenced one whose bytes differ from its SHA-256, a
+    dataset of another kind than the task or that breaks its rule, a model of another family
+    than the dataset, and a penalty of another kind than the variant or naming no model_hash.
     """
-    path = lambda name: os.path.join(run_dir, name)
-    cfg, config_hash = _read_run_file(path("config.json"), _run_config)
+    config = os.path.join(run_dir, "config.json")
+    cfg, config_hash, refs = _read_run_file(config, lambda doc: _run_config(doc, run_dir))
+    for ref_path, sha256 in refs.values():
+        if hashlib.sha256(Path(ref_path).read_bytes()).hexdigest() != sha256:
+            raise ValidationError(f"{ref_path}: bytes differ from the sha256 in {config}")
+    path = lambda name: refs[name][0] if name in refs else os.path.join(run_dir, name)
     dataset = load_dataset(path("dataset.jsonl"))
     _check_kind(cfg, dataset, path("dataset.jsonl"))
     train_ds, test_ds = tasks.split_train_test(dataset, cfg.split, cfg.seed)
@@ -349,6 +374,8 @@ def load_run(run_dir: str) -> RunArtifacts:
     if art.penalty.variant != kind:
         raise ValidationError(f"{path('penalty.json')}: variant {cfg.variant!r} needs a "
                               f"{kind!r} penalty, the file holds {art.penalty.variant!r}")
+    if art.penalty.model_hash is None:  # every train_run writes one
+        raise ValidationError(f"{path('penalty.json')}: names no model_hash to bind it to")
     if kind == "learned":
         if not art.penalty.classifier_ref:
             raise ValidationError(f"{path('penalty.json')}: the learned penalty names no "
@@ -434,21 +461,24 @@ def eval_run(art: RunArtifacts, out: str | None = None,
 # --- reproduce pipelines ----------------------------------------------------------
 
 
-def reproduce(task: str, out: str, n: int = RunConfig.n, seed: int = RunConfig.seed,
+def reproduce(task: str, out: str, n: int | None = None, seed: int = RunConfig.seed,
               epochs: int | None = None, data: str = "") -> tuple[dict, bool]:
     """Run the baseline and every applicable variant; check directional criteria.
 
     The penalty variants share one base model, trained by the first of
-    them; every variant directory is a complete run that ``load_run`` reads.
+    them and stored once with the dataset, in ``<out>/base/``.  A
+    ``multilabel-file`` run counts its samples, so it refuses ``n``.
     Returns (report, all_criteria_pass).  Absolute scores depend on the
     pinned seed and schedule; only orderings are asserted.
     """
     if task not in REPRODUCE_TAGS:
         raise ValidationError(f"unknown reproduce tag {task!r}")
+    if task == "multilabel-file" and n is not None:
+        raise ValidationError("--data holds the samples; drop n")
     epochs = epochs if epochs is not None else (60 if task != "multilabel-file" else 80)
     # Every input is checked before the output directory is made.
-    configs = [RunConfig(task=task, variant=variant, n=n, seed=seed, epochs=epochs, data=data)
-               for variant in TASKS[task][1]]
+    configs = [RunConfig(task=task, variant=variant, n=RunConfig.n if n is None else n,
+                         seed=seed, epochs=epochs, data=data) for variant in TASKS[task][1]]
     dataset = _build_dataset(configs[0])
     tasks.split_train_test(dataset, configs[0].split, seed)  # refuses too few samples
     out = _fresh_dir(out, marker="reproduce_report.json")
@@ -461,7 +491,7 @@ def reproduce(task: str, out: str, n: int = RunConfig.n, seed: int = RunConfig.s
         t0 = time.perf_counter()
         variant_dir = os.path.join(out, variant)
         art = train_run(cfg, dataset=dataset, out=variant_dir, base_model=base_model,
-                        gate_examples=gate_examples)
+                        gate_examples=gate_examples, base=os.path.join(out, "base"))
         gate_examples = art.gate_examples or gate_examples
         if art.penalty is not None:  # the baseline's model is no base model to reuse
             base_model = art.base_model
@@ -481,7 +511,7 @@ def reproduce(task: str, out: str, n: int = RunConfig.n, seed: int = RunConfig.s
         "version": __version__,
         "task": task,
         "metric": metric,
-        "n": n,
+        "n": len(dataset),
         "seed": seed,
         "epochs": epochs,
         "columns": {VARIANTS[v][2]: scores[v] for v in scores},
@@ -544,13 +574,14 @@ def _merged_config(args: argparse.Namespace, required: tuple[str, ...] = (),
     for key in required:
         if key not in doc:
             raise ValidationError(f"missing required config key {key!r}")
-    if dataset is not None:  # read from args.dataset: n counts its samples, data names it
+    if dataset is not None:  # read from args.dataset: it holds the samples, data names it
         given = [key for key in ("n", "data") if key in doc]
         if given:
             raise ValidationError(f"--dataset holds the samples; drop {' and '.join(given)}")
-        doc["n"] = len(dataset)
         if doc["task"] == "multilabel-file":  # the one task that reads data
             doc["data"] = args.dataset
+    elif doc["task"] == "multilabel-file" and "n" in doc:
+        raise ValidationError("--data holds the samples; drop n")
     return RunConfig(**doc)
 
 
@@ -591,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run every applicable variant and check orderings")
     p.add_argument("tag", choices=REPRODUCE_TAGS)
-    p.add_argument("--n", type=int, default=RunConfig.n)
+    p.add_argument("--n", type=int, default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--data", type=str, default="")
     p.add_argument("--seed", type=int, default=RunConfig.seed)

@@ -307,17 +307,35 @@ def test_eval_refuses_a_model_of_another_family_than_the_dataset(tmp_path, capsy
 
 
 @pytest.fixture(scope="module")
-def saved_runs(tmp_path_factory):
-    """One small trained run directory per (task, penalty variant) pair."""
+def toy_tree(tmp_path_factory):
+    """A small ``reproduce task1`` tree: variants refer to ``base/`` for shared files."""
+    tree = tmp_path_factory.mktemp("reproduce") / "tree"
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        reproduce("task1", str(tree), n=40, seed=2, epochs=1)
+    return tree
+
+
+@pytest.fixture(scope="module")
+def saved_runs(tmp_path_factory, toy_tree):
+    """One small trained run directory per (task, penalty variant) pair, and
+    each variant directory of ``toy_tree``; each run is alone in its parent
+    directory but for the files its refs name."""
     pairs = [("task1" if variant == "per-position" else "threshold", variant)
              for variant in VARIANTS]
     pairs += [("task1", "learned-recurrent"), ("task1", "learned-windowed")]
-    runs = {}
+    runs = {f"reproduce-{variant}": str(toy_tree / variant)
+            for variant in cli.TASKS["task1"][1]}
     for task, variant in pairs:
         out = tmp_path_factory.mktemp(variant) / "run"
         train_run(RunConfig(task=task, variant=variant, n=20, epochs=1, seed=2), out=str(out))
         runs[f"{task}-{variant}"] = str(out)
     return runs
+
+
+def _refs(run) -> dict:
+    """A run's refs as file name -> referenced path."""
+    refs = json.loads(read(os.path.join(run, "config.json"))).get("refs", {})
+    return {name: os.path.normpath(os.path.join(run, ref["path"])) for name, ref in refs.items()}
 
 
 def _key_paths(doc, prefix=()):
@@ -332,10 +350,14 @@ def _key_paths(doc, prefix=()):
 def test_eval_of_a_corrupted_run_exits_0_or_1_with_one_error_line(saved_runs, data):
     name = data.draw(st.sampled_from(sorted(saved_runs)), label="run")
     with tempfile.TemporaryDirectory() as tmp:
-        run = os.path.join(tmp, "run")
-        shutil.copytree(saved_runs[name], run)
-        fname = data.draw(st.sampled_from(sorted(os.listdir(run))), label="file")
-        path = os.path.join(run, fname)
+        tree = os.path.join(tmp, "tree")  # the run with the files its refs name
+        shutil.copytree(os.path.dirname(saved_runs[name]), tree)
+        run = os.path.join(tree, os.path.basename(saved_runs[name]))
+        # the run's JSON files (not an eval's summary.csv) and the files it refers to
+        files = [os.path.join(run, f) for f in sorted(os.listdir(run))
+                 if f.endswith((".json", ".jsonl"))] + sorted(_refs(run).values())
+        rel = data.draw(st.sampled_from([os.path.relpath(f, tree) for f in files]), label="file")
+        path = os.path.join(tree, rel)
         op = data.draw(st.sampled_from(("delete", "truncate", "drop-key", "retype",
                                         "swap-variant")), label="op")
         if op == "delete":
@@ -369,6 +391,47 @@ def test_eval_of_a_corrupted_run_exits_0_or_1_with_one_error_line(saved_runs, da
             rc = main(["eval", "--run", run, "--out", os.path.join(tmp, "e")])
     lines = err.getvalue().splitlines()
     assert rc == 0 or (rc == 1 and len(lines) == 1 and lines[0].startswith("error: "))
+
+
+# Each case as (file of a copied toy tree, its edit, a word the one error line
+# holds); an edit deletes the file, appends one byte, swaps in another valid
+# checkpoint, or sets the value at a key path of a JSON file.
+BROKEN_REFS = {
+    "ref-deleted": ("base/dataset.jsonl", "delete", "dataset.jsonl"),
+    "dataset-byte-appended": ("base/dataset.jsonl", "append", "sha256"),
+    "model-swapped": ("base/model.json", "swap", "sha256"),
+    "refs-list": ("learned-windowed/config.json", (("refs",), []), "config.json"),
+    "ref-string": ("learned-windowed/config.json",
+                   (("refs", "model.json"), "../base/model.json"), "config.json"),
+    "ref-path-number": ("learned-windowed/config.json",
+                        (("refs", "model.json", "path"), 7), "config.json"),
+    "ref-sha256-null": ("learned-windowed/config.json",
+                        (("refs", "dataset.jsonl", "sha256"), None), "sha256"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_REFS))
+def test_eval_refuses_a_broken_ref_with_one_error_line(tmp_path, capsys, toy_tree, saved_runs,
+                                                       case):
+    tree = tmp_path / "tree"
+    shutil.copytree(toy_tree, tree)
+    fname, edit, named = BROKEN_REFS[case]
+    path = tree / fname
+    if edit == "delete":
+        os.remove(path)
+    elif edit == "append":
+        path.write_bytes(path.read_bytes() + b"\n")
+    elif edit == "swap":  # another valid checkpoint of the sequence family the run needs
+        shutil.copy(os.path.join(saved_runs["task1-per-position"], "model.json"), path)
+    else:
+        keys, value = edit
+        doc = json.loads(read(path))
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+        path.write_text(json.dumps(doc))
+    assert named in _eval_error(tmp_path, capsys, tree / "learned-windowed")
 
 
 @pytest.mark.parametrize("case", ["train-config-truncated", "eval-run-missing",
@@ -426,6 +489,24 @@ def test_eval_refuses_a_malformed_run_file_with_one_error_line(tmp_path, capsys,
     assert main(["eval", "--run", str(out), "--out", str(tmp_path / "e")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and fname in err[0]
+
+
+@pytest.mark.parametrize("edit", ["null", "deleted"])
+def test_eval_refuses_a_penalty_that_names_no_model_hash(tmp_path, capsys, edit):
+    # without the hash, nothing would tell the penalty that its model was swapped
+    for seed in (1, 2):
+        train_run(RunConfig(task="threshold", variant="scalar", n=60, epochs=2, seed=seed),
+                  out=str(tmp_path / f"run{seed}"))
+    run = tmp_path / "run1"
+    shutil.copy(tmp_path / "run2" / "model.json", run / "model.json")
+    doc = json.loads(read(run / "penalty.json"))
+    if edit == "null":
+        doc["model_hash"] = None
+    else:
+        del doc["model_hash"]
+    (run / "penalty.json").write_text(json.dumps(doc))
+    err = _eval_error(tmp_path, capsys, run)
+    assert "penalty.json" in err and "model_hash" in err
 
 
 def test_train_refuses_a_dataset_row_without_x(tmp_path, capsys):
@@ -585,6 +666,42 @@ def test_train_from_a_dataset_file_records_what_the_file_holds(tmp_path, task, v
     assert evaluated["config_hash"] == saved["config_hash"]
 
 
+def _sparse_file(tmp_path, n):
+    """A sparse multi-label file of ``n`` samples, two features and four labels."""
+    src = tmp_path / "ml.txt"
+    src.write_text("".join(f"{i % 3},{(i + 1) % 4} 0:{i / n:.3f} 1:{1 - i / n:.3f}\n"
+                           for i in range(n)))
+    return src
+
+
+@pytest.mark.parametrize("how", ["train-flag", "train-key", "reproduce-flag"])
+def test_a_multilabel_file_run_refuses_n(tmp_path, capsys, how):
+    src, conf = _sparse_file(tmp_path, 40), tmp_path / "c.json"
+    conf.write_text(json.dumps({"n": 5000}))
+    train = ["train", "--task", "multilabel-file", "--variant", "scalar", "--data", str(src)]
+    argv = {"train-flag": [*train, "--n", "5000"],
+            "train-key": [*train, "--config", str(conf)],
+            "reproduce-flag": ["reproduce", "multilabel-file", "--data", str(src), "--n", "7"],
+            }[how]
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main([*argv, "--epochs", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: --data holds the samples; drop n"]
+    assert not out.exists()
+
+
+def test_a_multilabel_file_run_records_the_files_sample_count(tmp_path):
+    out = tmp_path / "run"
+    assert main(["train", "--task", "multilabel-file", "--variant", "scalar", "--epochs", "2",
+                 "--data", str(_sparse_file(tmp_path, 40)), "--out", str(out)]) == 0
+    saved = json.loads(read(out / "config.json"))
+    assert saved["config"]["n"] == 40
+    assert saved["config_hash"] == json_hash(saved["config"])
+    report = json.loads(read(out / "train_report.json"))
+    assert report["n_train"] + report["n_test"] == 40
+    assert main(["eval", "--run", str(out), "--out", str(tmp_path / "e")]) == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "--task", "threshold", "--variant", "baseline", "--n", "1"],
     ["reproduce", "task1", "--n", "1"],
@@ -660,6 +777,29 @@ def test_reproduce_task1_smoke(tmp_path, capsys):
         assert again.aggregate == doc["reports"][variant]["aggregate"]
 
 
+def test_a_reproduce_tree_stores_each_artifact_once(toy_tree):
+    alike = {}
+    for root, _, names in os.walk(toy_tree):
+        for name in names:
+            alike.setdefault(read(os.path.join(root, name)), []).append(name)
+    # Both gates' penalty.json hold only the gate's file name and the shared
+    # model's hash, and at this size both gates may decode alike; no model,
+    # dataset or report of a fit is stored twice.
+    assert {name for names in alike.values() if len(names) > 1 for name in names} <= {
+        "penalty.json", "decode_report.jsonl"}
+    assert sorted(os.listdir(toy_tree / "base")) == ["dataset.jsonl", "model.json"]
+    for variant in cli.TASKS["task1"][1]:
+        run = toy_tree / variant
+        assert not {"dataset.jsonl", "model.json"} & set(os.listdir(run))
+        refs = _refs(str(run))
+        assert set(refs) == ({"dataset.jsonl"} if variant == "baseline" else
+                             {"dataset.jsonl", "model.json"})
+        for path in refs.values():
+            assert os.path.commonpath([path, str(toy_tree)]) == str(toy_tree)
+            assert os.path.isfile(path)
+    assert (toy_tree / "baseline" / "baseline.json").is_file()  # the baseline's own model
+
+
 def test_reproduce_task2_reports_baseline_not_applicable(tmp_path, capsys):
     doc, _ = reproduce("task2", str(tmp_path / "rep2"), n=40, seed=5, epochs=2)
     assert doc["not_applicable"] == ["multi-label"]
@@ -694,11 +834,16 @@ def test_reproduce_multilabel_file(tmp_path):
         lines.append(",".join(map(str, labels)) + " " + feats)
     src = tmp_path / "ml.txt"
     src.write_text("\n".join(lines) + "\n")
-    doc, ok = reproduce("multilabel-file", str(tmp_path / "rep3"), n=60, seed=5,
-                        epochs=2, data=str(src))
+    rep = tmp_path / "rep3"
+    doc, ok = reproduce("multilabel-file", str(rep), seed=5, epochs=2, data=str(src))
     assert ok  # no pinned criteria for user data
     assert set(doc["columns"]) == {"multi-label", "ssg-s", "ssg-recurrent",
                                    "ssg-windowed"}
+    assert doc["n"] == 60  # the file's sample count
+    for variant in cli.TASKS["multilabel-file"][1]:  # the label base model sits in base/
+        art = load_run(str(rep / variant))
+        assert art.cfg.n == 60
+        assert eval_run(art).aggregate == doc["reports"][variant]["aggregate"]
 
 
 def test_config_file_merging(tmp_path, capsys):
