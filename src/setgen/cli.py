@@ -205,8 +205,8 @@ def train_run(cfg: RunConfig, dataset: Dataset | None = None, out: str | None = 
 
     A ``base_model`` passed in (already trained on this config's split) is
     reused instead of fitted, and the report says so; so are ``gate_examples``.
-    ``source`` names the file a passed-in dataset was read from: a refusal
-    names it, and the hashed config records the dataset's ``json_hash``.
+    ``source`` names the file a passed-in dataset was read from: a refusal names
+    it.  A dataset read from a file (``source`` or ``data``) is hashed into the config.
     ``n`` records the dataset's size, and ``base`` goes to ``_persist_run``.
     """
     dataset = dataset if dataset is not None else _build_dataset(cfg)
@@ -214,7 +214,7 @@ def train_run(cfg: RunConfig, dataset: Dataset | None = None, out: str | None = 
     _check_kind(cfg, dataset, source or "the dataset")
     train_ds, test_ds = tasks.split_train_test(dataset, cfg.split, cfg.seed)
     config = asdict(cfg)
-    if source:
+    if source or cfg.data:  # the file's content, not the spelling of its path
         config["dataset_hash"] = json_hash(asdict(dataset))
     art = RunArtifacts(cfg=cfg, dataset=dataset, train_split=train_ds, test_split=test_ds,
                        config_hash=json_hash(config))

@@ -226,9 +226,10 @@ class LambdaNet:
     # -- loss (weighted binary cross-entropy) --------------------------------
 
     def loss_and_grads(self, batch):
-        """``batch`` is the forward inputs, then (B, V) targets and weights."""
-        *inputs, targets, weights = batch
-        scores, caches = self._forward(*inputs)
+        """``batch`` is example rows: (B, V) scores, (B,) positions, (B, V) 0/1 targets."""
+        logits, positions, targets = batch
+        scores, caches = self._forward(*self._inputs(logits, positions))
+        weights = np.where(targets > 0.5, self.pos_weight, 1.0)
         loss, dscores = nn.binary_cross_entropy(scores, targets, weights)
         if self.variant == "recurrent":
             return loss, self._backward_recurrent(dscores, caches)
@@ -293,7 +294,8 @@ def train_lambda_net(examples: GateExamples, variant: str,
     The weight is stored on the returned gate, whose ``scores`` undo the
     prior shift it causes; its ``threshold`` then cuts the emit probability.
     ``arch`` holds :class:`LambdaNet` size and threshold keywords; omitted
-    ones take its defaults.  Batches are whole examples, the V token rows of each.
+    ones take its defaults.  A batch is the logits, positions and targets rows of
+    whole examples, whose features and weights ``loss_and_grads`` builds per batch.
     """
     if not len(examples):
         raise ValidationError("no gate training examples")
@@ -304,9 +306,7 @@ def train_lambda_net(examples: GateExamples, variant: str,
     n_neg = float(targets.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise TrainingError("gate training set is single-class; nothing to separate")
-    pos_weight = n_neg / n_pos
     rng = np.random.default_rng(cfg.seed)
-    net = LambdaNet(variant, vocab, max_len, **arch, pos_weight=pos_weight, seed=cfg.seed)
-    weights = np.where(targets > 0.5, pos_weight, 1.0)
-    arrays = (*net._inputs(examples.logits, examples.positions), targets, weights)
+    net = LambdaNet(variant, vocab, max_len, **arch, pos_weight=n_neg / n_pos, seed=cfg.seed)
+    arrays = (examples.logits, examples.positions, targets)
     return _run_epochs(net, lambda idx: tuple(a[idx] for a in arrays), len(examples), cfg, rng)

@@ -150,11 +150,11 @@ def test_c6_gradient_checks_all_families():
         assert gradient_check(s, batch, eps=1e-4) < 1e-4
 
         examples = separable_examples(rng, n=3, vocab=5)
-        rec = LambdaNet("recurrent", 5, max_len=3, hidden=4, seed=seed)
-        assert gradient_check(rec, gate_batch(rec, examples, 2.0), eps=1e-4) < 1e-4
+        rec = LambdaNet("recurrent", 5, max_len=3, hidden=4, pos_weight=2.0, seed=seed)
+        assert gradient_check(rec, gate_batch(examples), eps=1e-4) < 1e-4
 
-        win = LambdaNet("windowed", 5, max_len=3, filters=3, dense=4, seed=seed)
-        assert gradient_check(win, gate_batch(win, examples, 2.0), eps=1e-4) < 1e-4
+        win = LambdaNet("windowed", 5, max_len=3, filters=3, dense=4, pos_weight=2.0, seed=seed)
+        assert gradient_check(win, gate_batch(examples), eps=1e-4) < 1e-4
     assert time.perf_counter() - t0 < 60.0
 
 

@@ -702,6 +702,22 @@ def test_a_multilabel_file_run_records_the_files_sample_count(tmp_path):
     assert main(["eval", "--run", str(out), "--out", str(tmp_path / "e")]) == 0
 
 
+def test_a_multilabel_file_run_hashes_the_files_content(tmp_path):
+    src, hashes = _sparse_file(tmp_path, 40), []
+    for i in range(3):
+        if i == 2:  # the same path, other labels and features
+            src.write_text("".join(f"{j % 2},3 0:{j / 7:.3f} 1:0.250\n" for j in range(40)))
+        out = tmp_path / f"run{i}"
+        assert main(["train", "--task", "multilabel-file", "--variant", "scalar", "--epochs",
+                     "2", "--data", str(src), "--out", str(out)]) == 0
+        saved = json.loads(read(out / "config.json"))
+        assert saved["config"]["dataset_hash"] == json_hash(
+            asdict(load_dataset(str(out / "dataset.jsonl"))))
+        assert saved["config_hash"] == json_hash(saved["config"])
+        hashes.append(saved["config_hash"])
+    assert hashes[0] == hashes[1] != hashes[2]
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "--task", "threshold", "--variant", "baseline", "--n", "1"],
     ["reproduce", "task1", "--n", "1"],
@@ -843,6 +859,8 @@ def test_reproduce_multilabel_file(tmp_path):
     for variant in cli.TASKS["multilabel-file"][1]:  # the label base model sits in base/
         art = load_run(str(rep / variant))
         assert art.cfg.n == 60
+        config = json.loads(read(rep / variant / "config.json"))["config"]
+        assert config["dataset_hash"] == json_hash(asdict(art.dataset))
         assert eval_run(art).aggregate == doc["reports"][variant]["aggregate"]
 
 

@@ -1,9 +1,11 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from setgen import nn
+from setgen import lambda_net, nn
 from setgen.core import Dataset, SetSample, TrainingError, ValidationError, seq_from_str
 from setgen.lambda_net import (
     GateExamples,
@@ -55,10 +57,9 @@ def subset(examples, idx):
     return GateExamples(examples.logits[idx], examples.positions[idx], examples.targets[idx])
 
 
-def gate_batch(net, examples, pos_weight):
-    """The loss batch ``train_lambda_net`` forms from whole examples."""
-    weights = np.where(examples.targets > 0.5, pos_weight, 1.0)
-    return (*net._inputs(examples.logits, examples.positions), examples.targets, weights)
+def gate_batch(examples):
+    """The loss batch ``train_lambda_net`` forms from whole examples: their rows."""
+    return (examples.logits, examples.positions, examples.targets)
 
 
 # --- training-set construction ---------------------------------------------------
@@ -242,8 +243,9 @@ def test_oracle_gate_matches_position_candidates():
 def test_gradient_check_gate(variant):
     rng = np.random.default_rng(9)
     examples = separable_examples(rng, n=3, vocab=5)
-    net = LambdaNet(variant, 5, max_len=3, hidden=4, filters=3, dense=4, seed=1)
-    batch = gate_batch(net, examples, 2.5)
+    net = LambdaNet(variant, 5, max_len=3, hidden=4, filters=3, dense=4, pos_weight=2.5,
+                    seed=1)
+    batch = gate_batch(examples)
     assert gradient_check(net, batch, eps=1e-4) < 1e-4
 
 
@@ -363,16 +365,113 @@ def test_both_gates_batch_whole_examples(variant, monkeypatch):
 
     monkeypatch.setattr(LambdaNet, "loss_and_grads", spy)
     cfg = TrainConfig(learning_rate=1e-3, batch_size=k, epochs=epochs, seed=0)
-    net = train_lambda_net(examples, variant, cfg, max_len=3)
+    train_lambda_net(examples, variant, cfg, max_len=3)
     assert len(batches) == epochs * math.ceil(n / k)
-    # Every batch array holds whole examples: one (V, ...) block per example.
-    whole = gate_batch(net, examples, net.pos_weight)[:-1]
+    # Every batch array holds whole examples: one logits, position and target row each.
+    whole = gate_batch(examples)
     blocks = {tuple(a[i].tobytes() for a in whole): i for i in range(n)}
     per_epoch = math.ceil(n / k)
     for epoch in range(epochs):
         seen = []
-        for *arrays, _ in batches[epoch * per_epoch:(epoch + 1) * per_epoch]:
+        for arrays in batches[epoch * per_epoch:(epoch + 1) * per_epoch]:
             assert arrays[0].shape[1] == VOCAB and arrays[0].shape[0] <= k
             for r in range(arrays[0].shape[0]):
                 seen.append(blocks[tuple(a[r].tobytes() for a in arrays)])
         assert sorted(seen) == list(range(n))
+
+
+# --- per-batch features: memory and bit-identity ------------------------------------
+
+# SHA-256 of a small fit's parameters (name, then C-order float64 bytes, in
+# name order), recorded from the code that built every example's features
+# before the first batch.  Per-batch features must fit the same bits.
+PINNED_FITS = {
+    "recurrent": "a9505ecc780a74eb77c60954a152b8016c0a006b80cc7a649a7e3a72dc2e072b",
+    "windowed": "c363db8262ac8898c5ca1eb99ec9563a61c5246db1e273c3d0e33a509047184c",
+}
+
+
+@pytest.mark.parametrize("variant", ["recurrent", "windowed"])
+def test_gate_fits_are_pinned_to_whole_set_features(variant):
+    examples = separable_examples(np.random.default_rng(21), n=50)
+    cfg = TrainConfig(learning_rate=1e-2, batch_size=8, epochs=3, seed=4)
+    net = train_lambda_net(examples, variant, cfg, max_len=3, hidden=6)
+    digest = hashlib.sha256()
+    for name in sorted(net.params):
+        digest.update(name.encode())
+        digest.update(net.params[name].tobytes())
+    assert digest.hexdigest() == PINNED_FITS[variant]
+
+
+def test_features_are_built_one_batch_at_a_time(monkeypatch):
+    rng = np.random.default_rng(15)
+    examples = separable_examples(rng, n=40)
+    rows = []
+    real = lambda_net._features
+
+    def spy(logits, *args):
+        rows.append(len(logits))
+        return real(logits, *args)
+
+    monkeypatch.setattr(lambda_net, "_features", spy)
+    cfg = TrainConfig(learning_rate=1e-3, batch_size=6, epochs=2, seed=0)
+    for variant in ("recurrent", "windowed"):
+        train_lambda_net(examples, variant, cfg, max_len=3)
+    assert len(rows) == 2 * cfg.epochs * math.ceil(40 / 6)
+    assert max(rows) <= cfg.batch_size
+
+
+def test_windowed_fit_memory_stays_far_below_its_feature_size():
+    n, v = 5000, 100
+    rng = np.random.default_rng(16)
+    examples = GateExamples(rng.normal(size=(n, v)), rng.integers(1, 4, size=n),
+                            (rng.uniform(size=(n, v)) < 0.1).astype(float))
+    cfg = TrainConfig(learning_rate=1e-3, batch_size=15, epochs=1, seed=0)
+    tracemalloc.start()
+    try:
+        train_lambda_net(examples, "windowed", cfg, max_len=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Below one (N, V) float array, a ninth of the (N, V, 2r+5) features at
+    # r=2: neither features nor weights exist for all N, and a batch's
+    # activations (B*V token rows) stay about 2 MB.
+    assert peak < n * v * 8
+
+
+# --- input refusals ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("variant, kwargs, match", [
+    ("convolutional", {}, "unknown gate variant"),
+    ("recurrent", {"threshold": 0.0}, r"\(0, 1\)"),
+    ("windowed", {"threshold": 1.0}, r"\(0, 1\)"),
+    ("windowed", {"threshold": -0.2}, r"\(0, 1\)"),
+    ("recurrent", {"pos_weight": 0.0}, "must be positive"),
+    ("windowed", {"pos_weight": -3.0}, "must be positive"),
+    ("windowed", {"pos_weight": float("nan")}, "must be positive"),
+    ("windowed", {"kernel": 6, "radius": 2}, "kernel cannot exceed the window width"),
+])
+def test_gate_constructor_refuses_bad_settings(variant, kwargs, match):
+    with pytest.raises(ValidationError, match=match):
+        LambdaNet(variant, VOCAB, max_len=3, **kwargs)
+
+
+@pytest.mark.parametrize("variant", ["recurrent", "windowed"])
+def test_scores_refuse_a_wrong_row_width_or_position_count(variant):
+    net = LambdaNet(variant, VOCAB, max_len=3, seed=0)
+    for logits in (np.zeros(VOCAB + 1), np.zeros((2, VOCAB - 1)), np.zeros((1, 2, VOCAB))):
+        with pytest.raises(ValidationError, match=f"expected {VOCAB} scores per row"):
+            net.scores(logits, 1)
+    with pytest.raises(ValidationError, match="one position per score row"):
+        net.scores(np.zeros((3, VOCAB)), [1, 2])
+    with pytest.raises(ValidationError, match="one position per score row"):
+        net.scores(np.zeros((2, VOCAB)), 1)
+
+
+def test_no_examples_train_no_gate_and_score_no_accuracy():
+    empty = GateExamples(np.zeros((0, VOCAB)), np.zeros(0, dtype=int), np.zeros((0, VOCAB)))
+    assert len(empty) == 0
+    with pytest.raises(ValidationError, match="no gate training examples"):
+        train_lambda_net(empty, "windowed", TrainConfig(epochs=1, seed=0), max_len=3)
+    assert gate_accuracy(LambdaNet("recurrent", VOCAB, max_len=3, seed=0), empty) is None

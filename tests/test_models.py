@@ -649,16 +649,17 @@ def test_sequence_grads_match_per_step_reference(pairs):
 
 
 def test_recurrent_gate_grads_match_per_step_reference():
-    net = LambdaNet("recurrent", 6, max_len=4, hidden=5, seed=3)
+    net = LambdaNet("recurrent", 6, max_len=4, hidden=5, pos_weight=2.5, seed=3)
     rng = np.random.default_rng(5)
     for p in net.params.values():
         p += rng.normal(scale=0.3, size=p.shape)
-    feats = rng.normal(size=(4, 6, 3))
+    logits, positions = rng.normal(scale=2.0, size=(4, 6)), np.array([1, 4, 2, 3])
+    (feats,) = net._inputs(logits, positions)
     targets = (rng.uniform(size=(4, 6)) < 0.3).astype(float)
     weights = np.where(targets > 0.5, 2.5, 1.0)
     scores, _ = net._forward_recurrent(feats)
     _, dscores = nn.binary_cross_entropy(scores, targets, weights)
-    _, grads = net.loss_and_grads((feats, targets, weights))
+    _, grads = net.loss_and_grads((logits, positions, targets))
     assert_grads_close(grads, ref_gate_grads(net, feats, dscores))
 
 
