@@ -22,7 +22,7 @@ from .core import (
     seq_from_str,
     seq_to_str,
 )
-from .decoder import DecodeState, decode_set, decode_sequence_set, penalized_argmax
+from .decoder import decode_set, decode_sequence_set, penalized_argmax
 from .metrics import edit_distance, evaluate, f1_set, mean_edit_distance
 from .models import (
     LabelModel,

@@ -400,9 +400,8 @@ def _predict_sample(art: RunArtifacts, sample):
         return pred, 1, 0, False
     if not sequences:  # a label set is the one-position case of a sequence set
         logits = art.base_model.scores(np.asarray(sample.x, dtype=float)[None, :])[0]
-        labels, iterations, repeats, truncated = position_tokens(art.penalty, logits, 1,
-                                                                 rho=cfg.rho)
-        return frozenset(labels), iterations, repeats, truncated
+        labels, iterations, repeats = position_tokens(art.penalty, logits, 1, rho=cfg.rho)
+        return frozenset(labels), iterations, repeats, False
     res = decode_sequence_set(art.base_model, art.penalty, sample.x, rho=cfg.rho)
     content = frozenset(seq[:-1] for seq in res.sequences)
     return content, res.iterations, res.repeats, res.truncated

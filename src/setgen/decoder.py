@@ -1,10 +1,12 @@
 """Set decoding: repeated penalized argmax with memory and a robust stop rule.
 
-Label sets: the posterior is fixed per input; each step picks the best label
-after subtracting ``count * penalty`` from every already-produced label, so
-the argmax walks down the posterior one new element at a time.  With
-``rho = 0`` the loop ends at the first repeat; larger ``rho`` tolerates noisy
-repeats by running until total productions reach ``(1 + rho) x |distinct|``.
+Label sets: the posterior is fixed per input; one (V,) count vector is the
+memory, and each step picks the best label after subtracting
+``count * penalty``, so the argmax walks down the posterior one new element
+at a time.  The loop stops at a repeat once total productions reach
+``(1 + rho) x |distinct|``: with ``rho = 0`` at the first repeat.  Every
+repeat before the stop adds one production and no new label, so a decode
+ends within ``V + max(1, ceil(rho V)) <= 2V`` steps.
 
 Sequence sets: partial answers expand breadth-wise position by position.
 Each live partial takes its continuation tokens from :func:`position_tokens`:
@@ -16,7 +18,7 @@ whose tokens come back empty simply ends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,95 +27,58 @@ from .core import TokenSeq, ValidationError
 from .models import DecoderSession, content_hash
 from .penalty import PenaltyParams
 
-GATHER_CAP_FACTOR = 4  # iteration cap: 4x the number of candidates
 
-
-@dataclass
-class DecodeState:
-    """Memory of produced elements with per-element production counters."""
-
-    rho: float = 0.0
-    z: list[int] = field(default_factory=list)
-    counts: list[int] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.rho < 1.0:
-            raise ValidationError("rho must lie in [0, 1)")
-
-    def record(self, label: int) -> bool:
-        """Count a production; returns True when it was a repeat."""
-        if label in self.z:
-            self.counts[self.z.index(label)] += 1
-            return True
-        self.z.append(label)
-        self.counts.append(1)
-        return False
-
-    def should_stop(self) -> bool:
-        """Robust criterion; meaningful only right after a repeat."""
-        return sum(self.counts) >= (1.0 + self.rho) * len(self.z)
-
-
-def penalized_argmax(probs: np.ndarray, state: DecodeState, lam: float) -> int:
-    """Best label under the memory penalty ``count * lam``; smallest id wins ties."""
+def penalized_argmax(probs: np.ndarray, counts: np.ndarray, lam: float) -> int:
+    """Best label under the memory penalty ``counts * lam``; smallest id wins ties."""
     if not np.isfinite(lam):
         raise ValidationError("penalty must be finite")
-    scores = np.asarray(probs, dtype=float).copy()
-    for label, count in zip(state.z, state.counts):
-        scores[label] -= lam * count
-    return int(np.argmax(scores))  # argmax returns the first (smallest) index on ties
-
-
-def _gather(probs: np.ndarray, lam: float, rho: float, max_iters: int):
-    """Repeated penalized argmax until the robust stop rule fires.
-
-    Returns (state, trace, truncated); the produced set is ``state.z`` in
-    production order.
-    """
-    state = DecodeState(rho=rho)
-    trace: list[int] = []
-    for _ in range(max_iters):
-        y = penalized_argmax(probs, state, lam)
-        trace.append(y)
-        repeat = state.record(y)
-        if repeat and state.should_stop():
-            return state, trace, False
-    return state, trace, True
+    return int(np.argmax(probs - lam * counts))  # argmax returns the first index on ties
 
 
 @dataclass(frozen=True)
 class DecodeResult:
     """Outcome of one label-set decode."""
 
-    labels: tuple[int, ...]  # production order
-    iterations: int
-    repeats: int
-    truncated: bool
-    trace: tuple[int, ...]
+    labels: tuple[int, ...]  # distinct, in production order
+    trace: tuple[int, ...]  # every production, repeats included
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
+
+    @property
+    def repeats(self) -> int:
+        return len(self.trace) - len(self.labels)
 
     @property
     def label_set(self) -> frozenset[int]:
         return frozenset(self.labels)
 
 
-def decode_set(model, lam: float, x, rho: float = 0.0,
-               max_iters: int | None = None) -> DecodeResult:
-    """Produce a label set from any model exposing ``posterior(x)``.
+def _gather(probs: np.ndarray, lam: float, rho: float) -> DecodeResult:
+    """Repeated penalized argmax until the robust stop rule fires."""
+    if not 0.0 <= rho < 1.0:
+        raise ValidationError("rho must lie in [0, 1)")
+    probs = np.asarray(probs, dtype=float)
+    if probs.ndim != 1 or probs.size == 0:
+        raise ValidationError("posterior must be a non-empty vector")
+    counts = np.zeros(probs.shape[0])
+    labels: list[int] = []
+    trace: list[int] = []
+    while True:
+        y = penalized_argmax(probs, counts, lam)
+        trace.append(y)
+        if counts[y] == 0:
+            labels.append(y)
+        elif len(trace) >= (1.0 + rho) * len(labels):
+            return DecodeResult(tuple(labels), tuple(trace))
+        counts[y] += 1
 
-    ``max_iters`` defaults to four times the universe size; hitting it flags
-    truncation instead of raising, since a badly calibrated penalty can cycle.
-    """
-    probs = np.asarray(model.posterior(x), dtype=float)
-    if max_iters is None:
-        max_iters = GATHER_CAP_FACTOR * probs.shape[0]
-    state, trace, truncated = _gather(probs, lam, rho, max_iters)
-    return DecodeResult(
-        labels=tuple(state.z),
-        iterations=len(trace),
-        repeats=len(trace) - len(state.z),
-        truncated=truncated,
-        trace=tuple(trace),
-    )
+
+def decode_set(model, lam: float, x, rho: float = 0.0) -> DecodeResult:
+    """Produce a label set from any model exposing ``posterior(x)``, within
+    ``V + max(1, ceil(rho V))`` steps for a V-label posterior."""
+    return _gather(model.posterior(x), lam, rho)
 
 
 @dataclass(frozen=True)
@@ -147,14 +112,13 @@ def position_tokens(penalty: PenaltyParams, logits: np.ndarray, position: int,
     A learned penalty's gate classifies the scores (reading ``prefix`` too,
     if it wants it); any other penalty runs the penalized-argmax gather on
     their softmax with that position's value and a fresh memory.  Returns
-    ``(tokens, iterations, repeats, truncated)``; the tokens are sorted for a
-    gate and in production order for a gather.
+    ``(tokens, iterations, repeats)``; the tokens are sorted for a gate and
+    in production order for a gather.
     """
     if penalty.variant == "learned":
-        return sorted(penalty.classifier.classify(logits, position, prefix)), 1, 0, False
-    state, trace, truncated = _gather(nn.softmax(logits), penalty.position_value(position),
-                                      rho, GATHER_CAP_FACTOR * len(logits))
-    return list(state.z), len(trace), len(trace) - len(state.z), truncated
+        return sorted(penalty.classifier.classify(logits, position, prefix)), 1, 0
+    res = _gather(nn.softmax(logits), penalty.position_value(position), rho)
+    return list(res.labels), res.iterations, res.repeats
 
 
 def decode_sequence_set(model, penalty: PenaltyParams, x, rho: float = 0.0,
@@ -172,6 +136,8 @@ def decode_sequence_set(model, penalty: PenaltyParams, x, rho: float = 0.0,
         raise ValidationError("sequence decoding needs a per-position or learned penalty")
     if penalty.variant == "learned" and penalty.classifier is None:
         raise ValidationError("learned penalty has no classifier attached")
+    if max_branches < 1:
+        raise ValidationError("max_branches must be at least 1")
     verify_penalty_binding(model, penalty)
     max_len = model.max_len
     eos = model.eos
@@ -183,15 +149,13 @@ def decode_sequence_set(model, penalty: PenaltyParams, x, rho: float = 0.0,
     dead_ends = 0
     dropped = 0
     overlong = 0
-    truncated_gather = False
     for j in range(1, max_len + 1):
         frontier: list[TokenSeq] = []
         for prefix in branches:
-            tokens, iters, reps, trunc = position_tokens(
+            tokens, iters, reps = position_tokens(
                 penalty, session.logits_for(prefix), j, prefix, rho)
             iterations += iters
             repeats += reps
-            truncated_gather = truncated_gather or trunc
             if not tokens:
                 dead_ends += 1
                 continue
@@ -212,7 +176,7 @@ def decode_sequence_set(model, penalty: PenaltyParams, x, rho: float = 0.0,
         sequences=frozenset(completed),
         iterations=iterations,
         repeats=repeats,
-        truncated=truncated_gather or overlong > 0 or dropped > 0,
+        truncated=overlong > 0 or dropped > 0,
         dead_ends=dead_ends,
         dropped_branches=dropped,
     )

@@ -177,6 +177,8 @@ class PenaltyParams:
 
     def position_value(self, position: int) -> float:
         """Penalty for 1-based output position; positions past the table reuse the last."""
+        if position < 1:
+            raise ValidationError(f"output positions start at 1, got {position}")
         if self.variant == "scalar":
             return float(self.value)
         if self.variant == "per-position":

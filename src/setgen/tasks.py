@@ -218,4 +218,7 @@ def load_multilabel(path: str, n_features: int | None = None,
                 raise ValidationError(f"{path}: feature index {i} exceeds dimension {d}")
             vec[i] = v
         samples.append(SetSample(x=tuple(vec.tolist()), y=labels))
-    return Dataset(kind="labels", samples=tuple(samples), universe=n_labels, input_dim=d)
+    try:
+        return Dataset(kind="labels", samples=tuple(samples), universe=n_labels, input_dim=d)
+    except ValidationError as exc:  # a label outside a given universe
+        raise ValidationError(f"{path}: {exc}") from exc

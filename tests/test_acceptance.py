@@ -123,10 +123,9 @@ def test_c5_stopping_criterion_reduction():
         probs /= probs.sum()
         lam = float(rng.uniform(0.0, 0.6))
         strict = decode_set(Posterior(probs), lam, None, rho=0.0)
-        if not strict.truncated:
-            ref_z, ref_trace = eq1_decode(probs, lam)
-            assert list(strict.trace) == ref_trace
-            assert list(strict.labels) == ref_z
+        ref_z, ref_trace = eq1_decode(probs, lam)
+        assert list(strict.trace) == ref_trace
+        assert list(strict.labels) == ref_z
         robust = decode_set(Posterior(probs), lam, None, rho=0.5)
         assert (strict.label_set & truth) <= robust.label_set
 

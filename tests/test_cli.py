@@ -90,6 +90,17 @@ def test_import_refuses_a_size_below_one(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+def test_import_names_the_file_for_a_label_outside_the_universe(tmp_path, capsys):
+    src = tmp_path / "ml.txt"
+    src.write_text("5 0:0.5\n0 1:2.0\n")
+    out = tmp_path / "imp"
+    capsys.readouterr()
+    assert main(["import", "--data", str(src), "--universe", "3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {src}: sample 0: label 5 outside universe 3"]
+    assert not out.exists()
+
+
 # --- train ------------------------------------------------------------------------
 
 

@@ -1,10 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from setgen import nn
 from setgen.core import Dataset, SetSample, ValidationError, seq_from_str
 from setgen.decoder import (
-    DecodeState,
     decode_sequence_set,
     decode_set,
     penalized_argmax,
@@ -45,6 +46,23 @@ def eq1_decode(probs, lam, max_iters=100):
     return z, trace
 
 
+def counter_decode(probs, lam, rho):
+    """Reference decoder with dict counters and the robust stop rule: stop at a
+    repeat once total productions reach ``(1 + rho) x |distinct|``."""
+    counts: dict[int, int] = {}
+    trace: list[int] = []
+    while True:
+        scores = np.array(probs, dtype=float)
+        for label, count in counts.items():
+            scores[label] -= lam * count
+        y = int(np.argmax(scores))
+        trace.append(y)
+        repeat = y in counts
+        counts[y] = counts.get(y, 0) + 1
+        if repeat and sum(counts.values()) >= (1.0 + rho) * len(counts):
+            return list(counts), trace
+
+
 class Posterior:
     def __init__(self, probs):
         self.probs = np.asarray(probs, dtype=float)
@@ -57,32 +75,27 @@ class Posterior:
 
 
 def test_penalized_argmax_unpenalized_first_pick():
-    state = DecodeState()
-    assert penalized_argmax(np.array([0.5, 0.3, 0.2]), state, 0.25) == 0
+    assert penalized_argmax(np.array([0.5, 0.3, 0.2]), np.zeros(3), 0.25) == 0
 
 
 def test_penalized_argmax_after_one_production():
-    state = DecodeState()
-    state.record(0)
-    assert penalized_argmax(np.array([0.5, 0.3, 0.2]), state, 0.25) == 1
+    counts = np.array([1.0, 0.0, 0.0])
+    assert penalized_argmax(np.array([0.5, 0.3, 0.2]), counts, 0.25) == 1
 
 
 def test_penalized_argmax_repeat_pick():
-    state = DecodeState()
-    state.record(0)
-    state.record(1)
+    counts = np.array([1.0, 1.0, 0.0])
     # 0: 0.25, 1: 0.05, 2: 0.2 -> the repeat of label 0 wins
-    assert penalized_argmax(np.array([0.5, 0.3, 0.2]), state, 0.25) == 0
+    assert penalized_argmax(np.array([0.5, 0.3, 0.2]), counts, 0.25) == 0
 
 
 def test_penalized_argmax_ties_break_to_smallest_id():
-    state = DecodeState()
-    assert penalized_argmax(np.array([0.4, 0.4, 0.2]), state, 0.1) == 0
+    assert penalized_argmax(np.array([0.4, 0.4, 0.2]), np.zeros(3), 0.1) == 0
 
 
 def test_penalized_argmax_rejects_nonfinite_penalty():
     with pytest.raises(ValidationError):
-        penalized_argmax(np.array([1.0]), DecodeState(), float("nan"))
+        penalized_argmax(np.array([1.0]), np.zeros(1), float("nan"))
 
 
 # --- label-set decoding ----------------------------------------------------------
@@ -92,7 +105,7 @@ def test_decode_set_hand_trace_rho_zero():
     res = decode_set(Posterior([0.5, 0.3, 0.2]), 0.25, None, rho=0.0)
     assert res.label_set == {0, 1}
     assert res.trace == (0, 1, 0)
-    assert res.repeats == 1 and not res.truncated
+    assert res.repeats == 1
 
 
 def test_decode_set_hand_trace_rho_half():
@@ -110,14 +123,6 @@ def test_decode_set_singleton_when_penalty_below_top_gap():
     assert res.trace == (1, 1)
 
 
-def test_decode_set_truncation_flag():
-    # negative penalty keeps boosting the produced label; rho cannot be
-    # reached because... it can: first repeat stops. Force truncation with
-    # max_iters=1 instead.
-    res = decode_set(Posterior([0.6, 0.4]), 0.1, None, rho=0.0, max_iters=1)
-    assert res.truncated and res.label_set == {0}
-
-
 def test_decode_set_rho_zero_matches_reference_everywhere():
     rng = np.random.default_rng(0)
     for _ in range(300):
@@ -126,10 +131,22 @@ def test_decode_set_rho_zero_matches_reference_everywhere():
         lam = float(rng.uniform(-0.2, 0.6))
         res = decode_set(Posterior(probs), lam, None, rho=0.0)
         ref_z, ref_trace = eq1_decode(probs, lam)
-        if res.truncated:
-            continue
         assert list(res.trace) == ref_trace
         assert list(res.labels) == ref_z
+
+
+@pytest.mark.parametrize("rho", [0.25, 0.5, 0.9, 0.999])
+def test_decode_set_matches_a_counter_reference_and_its_step_bound(rho):
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n = int(rng.integers(1, 16))
+        probs = np.round(rng.dirichlet(np.ones(n)), 2)  # rounding makes ties
+        lam = float(rng.uniform(-1.0, 1.0))
+        res = decode_set(Posterior(probs), lam, None, rho=rho)
+        ref_z, ref_trace = counter_decode(probs, lam, rho)
+        assert list(res.trace) == ref_trace
+        assert list(res.labels) == ref_z
+        assert res.iterations <= n + max(1, math.ceil(rho * n))
 
 
 def test_decode_set_rho_half_keeps_everything_rho_zero_produced():
@@ -183,36 +200,42 @@ def test_position_tokens_on_a_scalar_penalty_match_decode_set(rho):
         lam = float(rng.uniform(-0.2, 0.6))
         res = decode_set(Posterior(nn.softmax(logits)), lam, None, rho=rho)
         got = position_tokens(PenaltyParams(variant="scalar", value=lam), logits, 1, rho=rho)
-        assert got == (list(res.labels), res.iterations, res.repeats, res.truncated)
+        assert got == (list(res.labels), res.iterations, res.repeats)
 
 
 # --- stopping criterion ------------------------------------------------------------
 
 
 def test_stop_rule_counts_repeats():
-    state = DecodeState(rho=0.5)
-    state.record(0)
-    state.record(1)
-    assert state.record(0) is True  # repeat
-    assert state.should_stop()  # 3 >= 1.5 * 2
+    res = decode_set(Posterior([0.5, 0.3, 0.2]), 0.25, None, rho=0.5)
+    assert res.trace == (0, 1, 0)  # the repeat stops it: 3 >= 1.5 * 2
+    assert res.repeats == 1
+    res = decode_set(Posterior([0.4, 0.3, 0.2, 0.1]), 0.25, None, rho=0.5)
+    # the first repeat leaves 4 < 1.5 * 3, so label 3 still enters; the
+    # second repeat stops it: 6 >= 1.5 * 4
+    assert res.trace == (0, 1, 2, 0, 3, 1)
+    assert res.labels == (0, 1, 2, 3) and res.repeats == 2
 
 
 def test_stop_rule_requires_more_repeats_at_higher_rho():
-    state = DecodeState(rho=0.9)
-    state.record(0)
-    state.record(1)
-    state.record(2)
-    state.record(0)
-    assert not state.should_stop()  # 4 < 1.9 * 3
-    state.record(1)
-    assert not state.should_stop()  # 5 < 5.7
-    state.record(2)
-    assert state.should_stop()  # 6 >= 5.7
+    # every label enters before the first repeat; the repeats then cycle
+    res = decode_set(Posterior([0.4, 0.35, 0.25]), 0.2, None, rho=0.9)
+    assert res.labels == (0, 1, 2)
+    # 4 < 1.9 * 3 after the first repeat, 5 < 5.7 after the second, 6 >= 5.7
+    assert res.trace == (0, 1, 2, 0, 1, 2)
+    assert res.repeats == 3
 
 
-def test_decode_state_rejects_bad_rho():
-    with pytest.raises(ValidationError):
-        DecodeState(rho=1.0)
+def test_decode_set_rejects_bad_rho():
+    for rho in (1.0, -0.1):
+        with pytest.raises(ValidationError, match="rho"):
+            decode_set(Posterior([0.6, 0.4]), 0.1, None, rho=rho)
+
+
+@pytest.mark.parametrize("probs", [[], [[0.6, 0.4], [0.5, 0.5]]])
+def test_decode_set_refuses_a_posterior_that_is_not_a_nonempty_vector(probs):
+    with pytest.raises(ValidationError, match="posterior"):
+        decode_set(Posterior(probs), 0.1, None)
 
 
 # --- sequence-set decoding ------------------------------------------------------------
@@ -295,6 +318,13 @@ def test_sequence_decode_rejects_scalar_penalty():
     with pytest.raises(ValidationError):
         decode_sequence_set(stub_sequence_model(),
                             PenaltyParams(variant="scalar", value=0.1), (1,))
+
+
+@pytest.mark.parametrize("max_branches", [0, -1])
+def test_sequence_decode_refuses_a_branch_cap_below_one(max_branches):
+    with pytest.raises(ValidationError, match="max_branches"):
+        decode_sequence_set(stub_sequence_model(), oracle_penalty([]), (1,),
+                            max_branches=max_branches)
 
 
 def test_sequence_decode_branch_cap_reports_drops():

@@ -611,6 +611,15 @@ def test_penalty_params_validation():
         PenaltyParams(variant="bogus")
 
 
+@pytest.mark.parametrize("params", [PenaltyParams(variant="scalar", value=0.2),
+                                    PenaltyParams(variant="per-position", values=(0.1, 0.2, 0.3)),
+                                    PenaltyParams(variant="learned")])
+def test_penalty_params_refuse_a_position_below_one(params):
+    for position in (0, -1):
+        with pytest.raises(ValidationError, match="positions start at 1"):
+            params.position_value(position)
+
+
 def test_feasible_interval_empty_flag():
     assert FeasibleInterval(0.3, 0.1).empty
     assert not FeasibleInterval(0.1, 0.3).empty
