@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 TokenSeq = tuple[int, ...]
@@ -48,14 +48,6 @@ def seq_from_str(s: str, vocab: int) -> TokenSeq:
 def seq_to_str(seq: Sequence[int]) -> str:
     """Render tokens as a digit string (callers strip the end token first)."""
     return "".join(str(t) for t in seq)
-
-
-def strip_eos(seq: Sequence[int], vocab: int) -> TokenSeq:
-    """Drop a trailing end-of-sequence token if present."""
-    toks = tuple(seq)
-    if toks and toks[-1] == vocab - 1:
-        return toks[:-1]
-    return toks
 
 
 @dataclass(frozen=True)
@@ -114,35 +106,32 @@ class Dataset:
         if self.kind == "labels" and self.max_len:  # calibration reads 0 as one position
             raise ValidationError("a label dataset declares no max_len")
         for i, s in enumerate(self.samples):
-            if self.kind == "labels":
-                if len(s.x) != self.input_dim:
-                    raise ValidationError(
-                        f"sample {i}: input width {len(s.x)} differs from input_dim "
-                        f"{self.input_dim}"
-                    )
-                for lab in s.y:
-                    if not isinstance(lab, int) or not 0 <= lab < self.universe:
-                        raise ValidationError(
-                            f"sample {i}: label {lab!r} outside universe {self.universe}"
-                        )
-            else:
-                if s.x and not 0 <= min(s.x) <= max(s.x) < self.input_vocab:
-                    raise ValidationError(f"sample {i}: input token outside input_vocab "
-                                          f"{self.input_vocab}")
-                for seq in s.y:
-                    if not isinstance(seq, tuple):
-                        raise ValidationError(f"sample {i}: target {seq!r} is not a tuple")
-                    if len(seq) > self.max_len:
-                        raise ValidationError(
-                            f"sample {i}: target length {len(seq)} exceeds max_len {self.max_len}"
-                        )
-                    eos = self.universe - 1
-                    if seq.count(eos) != 1 or seq[-1] != eos:
-                        raise ValidationError(
-                            f"sample {i}: target must end (only) with the end token"
-                        )
-                    if any(not 0 <= t < self.universe for t in seq):
-                        raise ValidationError(f"sample {i}: token outside vocabulary")
+            try:
+                self.check_sample(s)
+            except ValidationError as exc:
+                raise ValidationError(f"sample {i}: {exc}") from None
+
+    def check_sample(self, s: SetSample) -> None:
+        """Refuse a sample that breaks this dataset's declarations."""
+        if self.kind == "labels":
+            if len(s.x) != self.input_dim:
+                raise ValidationError(
+                    f"input width {len(s.x)} differs from input_dim {self.input_dim}")
+            for lab in s.y:
+                if not isinstance(lab, int) or not 0 <= lab < self.universe:
+                    raise ValidationError(f"label {lab!r} outside universe {self.universe}")
+            return
+        if s.x and not 0 <= min(s.x) <= max(s.x) < self.input_vocab:
+            raise ValidationError(f"input token outside input_vocab {self.input_vocab}")
+        for seq in s.y:
+            if not isinstance(seq, tuple):
+                raise ValidationError(f"target {seq!r} is not a tuple")
+            if len(seq) > self.max_len:
+                raise ValidationError(f"target length {len(seq)} exceeds max_len {self.max_len}")
+            if seq.count(self.eos) != 1 or seq[-1] != self.eos:
+                raise ValidationError("target must end (only) with the end token")
+            if any(not 0 <= t < self.universe for t in seq):
+                raise ValidationError("token outside vocabulary")
 
     @property
     def eos(self) -> int:
@@ -194,28 +183,34 @@ def save_dataset(dataset: Dataset, path: str) -> None:
             else:
                 row = {
                     "x": "".join(str(t) for t in s.x),
-                    "y": sorted(seq_to_str(strip_eos(seq, dataset.universe)) for seq in s.y),
+                    "y": sorted(seq_to_str(seq[:-1]) for seq in s.y),
                 }
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 def load_dataset(path: str) -> Dataset:
-    """Read a dataset written by :func:`save_dataset`; refuses a malformed file."""
+    """Read a dataset written by :func:`save_dataset`; refuses a malformed file.
+
+    A refusal names the file's own line (blank lines count, and are skipped).
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+        lines = [(n, ln) for n, ln in enumerate(fh.read().splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ValidationError(f"{path}: empty dataset file")
+    (lineno, head), *rows = lines
     try:  # a JSON syntax error is a ValueError too
-        header = dict(json.loads(lines[0]))
+        header = dict(json.loads(head))
         kind = header.get("kind")
-        universe = int(header.get("universe", 0))
-        max_len = int(header.get("max_len", 0))
-        input_vocab = int(header.get("input_vocab", 10)) if kind == "sequences" else 0
+        spec = Dataset(kind=kind, samples=(), universe=int(header.get("universe", 0)),
+                       max_len=int(header.get("max_len", 0)),
+                       input_vocab=int(header.get("input_vocab", 10)) if kind == "sequences" else 0)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ValidationError(
-            f"{path}:1: malformed header ({type(exc).__name__}: {exc})") from exc
+            f"{path}:{lineno}: malformed header ({type(exc).__name__}: {exc})") from exc
     samples = []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in rows:
         try:
             row = json.loads(ln)
             if kind == "labels":
@@ -223,20 +218,15 @@ def load_dataset(path: str) -> Dataset:
                 y = tuple(int(v) for v in row["y"])
             else:
                 x = tuple(int(ch) for ch in row["x"])
-                y = tuple(seq_from_str(s, universe) for s in row["y"])
+                y = tuple(seq_from_str(s, spec.universe) for s in row["y"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(
                 f"{path}:{lineno}: malformed sample ({type(exc).__name__}: {exc})") from exc
+        if kind == "labels" and not samples:  # the first row sets the input width
+            spec = replace(spec, input_dim=len(x))
         samples.append(SetSample(x=x, y=y))
-    input_dim = len(samples[0].x) if kind == "labels" and samples else 0
-    try:
-        return Dataset(
-            kind=kind,
-            samples=tuple(samples),
-            universe=universe,
-            max_len=max_len,
-            input_dim=input_dim,
-            input_vocab=input_vocab,
-        )
-    except ValidationError as exc:  # a row that breaks the header's declarations
-        raise ValidationError(f"{path}: {exc}") from exc
+        try:
+            spec.check_sample(samples[-1])
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+    return replace(spec, samples=tuple(samples))

@@ -1,17 +1,18 @@
 """Ground-truth generators and dataset builders for the synthetic benchmarks.
 
-Three synthetic tasks plus a sparse-file ingestion path:
+Three synthetic tasks plus a sparse-file ingestion path.  :func:`targets`
+states each task's rule once, on the input tuple a sample stores:
 
-* ``threshold``: real input x < 10, target = every integer y with x < y <= 10.
-  Emitted as a label dataset; label ids are the integer values themselves
-  (universe 11, id 0 unused).
-* ``task1``: input is a digit string whose leading digit m selects how many
-  leading digits form the target set (duplicates collapse).  Emitted as a
-  sequence dataset with single-digit targets so the encoder-decoder pipeline
-  applies; the sigmoid baseline uses the label view via ``task1_label_view``.
-* ``task2``: input is a 20-digit string; the first ten digits form five
-  (start, end) index pairs into the last ten, and the target set holds the
-  non-empty substrings those pairs select.
+* ``threshold``: input ``(v,)`` with v < 10; the targets are the labels y
+  with v < y <= 10.  Emitted as a label dataset whose label ids are the
+  integer values themselves (universe 11, id 0 unused).
+* ``task1``: input digits whose leading digit m counts the leading digits
+  that form the target set (duplicates collapse).  Emitted as a sequence
+  dataset with one-digit targets so the encoder-decoder pipeline applies;
+  the sigmoid baseline uses the label view via ``task1_label_view``.
+* ``task2``: input of 20 digits; the first ten form five (start, end) index
+  pairs into the last ten, and the targets are the distinct non-empty slices
+  those pairs select.
 * ``load_multilabel``: "labels-comma-separated, space, sparse index:value
   pairs" text files, one sample per line.
 """
@@ -23,58 +24,43 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Dataset, SetSample, ValidationError, seq_from_str, seq_to_str
+from .core import Dataset, SetSample, ValidationError
 
 SYNTHETIC_TASKS = ("threshold", "task1", "task2")
 DIGIT_VOCAB = 11  # digits 0-9 plus the end token (id 10)
 TASK1_MAX_INPUT_LEN = 10  # longest task1 input; the label view featurizes to this width
 
 
-def threshold_truth(x: float) -> frozenset[int]:
-    """Integers y with x < y <= 10."""
-    if x >= 10:
-        warnings.warn(f"threshold input {x} >= 10 yields an empty target set")
-        return frozenset()
-    return frozenset(y for y in range(1, 11) if y > x)
-
-
-def task1_truth(x: str) -> frozenset[int]:
-    """Distinct values among the first m digits of x, where m is the leading digit."""
-    if not x or not x.isdigit():
-        raise ValidationError(f"task1 input must be a non-empty digit string, got {x!r}")
-    m = int(x[0])
-    if m < 1:
-        raise ValidationError(f"task1 leading digit must be >= 1, got {x!r}")
-    if len(x) < m:
-        raise ValidationError(f"task1 input {x!r} shorter than its leading digit {m}")
-    return frozenset(int(ch) for ch in x[:m])
-
-
-def task2_truth(x: str) -> frozenset[str]:
-    """Distinct non-empty substrings a[s_i:e_i] selected by the five index pairs.
-
-    The first ten digits of x are read as pairs (s_1,e_1)..(s_5,e_5); the last
-    ten digits are the string a.  Pairs with s_i >= e_i select nothing.
-    """
-    if len(x) != 20 or not x.isdigit():
-        raise ValidationError(f"task2 input must be exactly 20 digits, got {x!r}")
-    a = x[10:]
-    out = set()
-    for i in range(5):
-        s, e = int(x[2 * i]), int(x[2 * i + 1])
-        if s < e:
-            out.add(a[s:e])
-    return frozenset(out)
-
-
 def targets(task: str, x: tuple) -> tuple:
-    """The sorted targets a synthetic task's rule gives ``x``, both as a sample stores them."""
+    """The sorted targets a synthetic task's rule gives ``x``, both as a sample stores them.
+
+    * threshold: ``x = (v,)``; the labels y with v < y <= 10 (none, with a
+      warning, for v >= 10).
+    * task1: digits whose leading one, m >= 1, counts the leading digits
+      that form the set; each distinct digit d gives the target ``(d, end)``.
+    * task2: exactly 20 digits; the pairs (x[0], x[1]) ... (x[8], x[9])
+      select slices a[s:e] of a = x[10:], and each distinct non-empty slice
+      is a target, closed by the end token.
+    """
     if task == "threshold":
         if len(x) != 1:
             raise ValidationError(f"threshold input must be one number, got {x!r}")
-        return tuple(sorted(threshold_truth(x[0])))
-    truth = task1_truth if task == "task1" else task2_truth
-    return tuple(sorted(seq_from_str(str(e), DIGIT_VOCAB) for e in truth(seq_to_str(x))))
+        if x[0] >= 10:
+            warnings.warn(f"threshold input {x[0]} >= 10 yields an empty target set")
+        return tuple(y for y in range(1, 11) if y > x[0])
+    if not all(isinstance(t, int) and 0 <= t <= 9 for t in x):
+        raise ValidationError(f"{task} input must hold digits 0-9, got {x!r}")
+    end = (DIGIT_VOCAB - 1,)
+    if task == "task1":
+        m = x[0] if x else 0
+        if not 1 <= m <= len(x):
+            raise ValidationError(f"task1 input needs a leading digit m >= 1 and at least "
+                                  f"m digits, got {x!r}")
+        return tuple((d,) + end for d in sorted(set(x[:m])))
+    if len(x) != 20:
+        raise ValidationError(f"task2 input must be exactly 20 digits, got {x!r}")
+    a = x[10:]
+    return tuple(sorted({a[s:e] + end for s, e in zip(x[0:10:2], x[1:10:2]) if s < e}))
 
 
 @dataclass(frozen=True)
@@ -179,7 +165,7 @@ def load_multilabel(path: str, n_features: int | None = None,
     """
     if any(size is not None and size < 1 for size in (n_features, universe)):
         raise ValidationError("feature count and label universe must be at least 1")
-    rows: list[tuple[tuple[int, ...], dict[int, float]]] = []
+    rows: list[tuple[int, tuple[int, ...], dict[int, float]]] = []
     max_feat = -1
     max_label = -1
     with open(path, "r", encoding="utf-8") as fh:
@@ -198,27 +184,31 @@ def load_multilabel(path: str, n_features: int | None = None,
             for tok in tail.split():
                 idx, _, val = tok.partition(":")
                 try:
-                    feats[int(idx)] = float(val)
+                    i, v = int(idx), float(val)
                 except ValueError as exc:
                     raise ValidationError(f"{path}:{lineno}: bad feature {tok!r}") from exc
+                if i in feats:
+                    raise ValidationError(f"{path}:{lineno}: repeated feature index {i}")
+                feats[i] = v
             if any(l < 0 for l in labels) or any(i < 0 for i in feats):
                 raise ValidationError(f"{path}:{lineno}: negative index")
             max_feat = max(max_feat, max(feats, default=-1))
             max_label = max(max_label, max(labels))
-            rows.append((labels, feats))
+            rows.append((lineno, labels, feats))
     if not rows:
         raise ValidationError(f"{path}: no samples")
     d = n_features if n_features is not None else max_feat + 1
     n_labels = universe if universe is not None else max_label + 1
+    spec = Dataset(kind="labels", samples=(), universe=n_labels, input_dim=d)
     samples = []
-    for labels, feats in rows:
-        vec = np.zeros(d)
-        for i, v in feats.items():
-            if i >= d:
-                raise ValidationError(f"{path}: feature index {i} exceeds dimension {d}")
-            vec[i] = v
-        samples.append(SetSample(x=tuple(vec.tolist()), y=labels))
-    try:
-        return Dataset(kind="labels", samples=tuple(samples), universe=n_labels, input_dim=d)
-    except ValidationError as exc:  # a label outside a given universe
-        raise ValidationError(f"{path}: {exc}") from exc
+    for lineno, labels, feats in rows:
+        try:
+            if max(feats, default=-1) >= d:
+                raise ValidationError(f"feature index {max(feats)} exceeds dimension {d}")
+            vec = np.zeros(d)
+            vec[list(feats)] = list(feats.values())
+            samples.append(SetSample(x=tuple(vec.tolist()), y=labels))
+            spec.check_sample(samples[-1])  # a label outside a given universe
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+    return replace(spec, samples=tuple(samples))

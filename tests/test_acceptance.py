@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from setgen.cli import reproduce
-from setgen.core import seq_from_str
 from setgen.decoder import decode_sequence_set, decode_set
 from setgen.lambda_net import LambdaNet
 from setgen.metrics import edit_distance, f1_set, mean_edit_distance
@@ -25,7 +24,7 @@ from setgen.models import (
     gradient_check,
 )
 from setgen.penalty import MarginRecord, PenaltyParams, margin_stats, solve_lambda
-from setgen.tasks import TaskSpec, generate, task1_truth, task2_truth, threshold_truth
+from setgen.tasks import TaskSpec, generate, targets
 from tests.conftest import OracleLabelPosterior, PositiveTokenOracle
 from tests.test_decoder import Posterior, eq1_decode
 from tests.test_lambda_net import gate_batch, separable_examples
@@ -89,25 +88,22 @@ def test_c3_end_to_end_exactness_sequences():
     model = SequenceModel(input_vocab=10, vocab=11, max_len=10, embed_dim=4,
                           enc_hidden=3, dec_hidden=4, seed=0)
     rng = np.random.default_rng(PINNED_SEED)
-    inputs = ["00490000349172105519"]  # worked example first
-    inputs += ["".join(str(d) for d in rng.integers(0, 10, size=20)) for _ in range(500)]
-    for x_str in inputs:
-        truth = task2_truth(x_str)
-        targets = [seq_from_str(s, 11) for s in sorted(truth)]
+    inputs = [tuple(int(c) for c in "00490000349172105519")]  # worked example first
+    inputs += [tuple(map(int, rng.integers(0, 10, size=20))) for _ in range(500)]
+    for x in inputs:
+        truth = targets("task2", x)
         pen = PenaltyParams(variant="learned",
-                            classifier=PositiveTokenOracle(targets, 11))
-        x = tuple(int(c) for c in x_str)
+                            classifier=PositiveTokenOracle(list(truth), 11))
         res = decode_sequence_set(model, pen, x)
-        got = {"".join(str(t) for t in seq[:-1]) for seq in res.sequences}
-        assert got == truth
+        assert res.sequences == frozenset(truth)
     assert time.perf_counter() - t0 < 30.0
 
 
 @criterion(4, "worked-example fixtures hold exactly")
 def test_c4_worked_example_fixtures():
-    assert task1_truth("33874") == {3, 8}
-    assert threshold_truth(1.01) == set(range(2, 11))
-    assert threshold_truth(9.5) == {10}
+    assert targets("task1", (3, 3, 8, 7, 4)) == ((3, 10), (8, 10))
+    assert targets("threshold", (1.01,)) == tuple(range(2, 11))
+    assert targets("threshold", (9.5,)) == (10,)
 
 
 @criterion(5, "rho=0 reduces to plain repeat-stop decoding; rho=0.5 only adds")

@@ -27,7 +27,7 @@ from setgen.core import ValidationError, json_hash, load_dataset
 from setgen.lambda_net import LambdaNet
 from setgen.metrics import EvalReport
 from setgen.models import load_checkpoint
-from setgen.tasks import TaskSpec, generate, task2_truth
+from setgen.tasks import TaskSpec, generate, targets
 from tests.conftest import OracleLabelPosterior
 
 
@@ -64,9 +64,7 @@ def test_gen_task2_passes_truth_self_check(tmp_path):
                  "--out", str(out)]) == 0
     ds = load_dataset(str(out / "task2.jsonl"))
     for s in ds.samples:
-        x = "".join(str(t) for t in s.x)
-        got = {"".join(str(t) for t in seq[:-1]) for seq in s.y}
-        assert got == task2_truth(x)
+        assert s.y == targets("task2", s.x)
 
 
 def test_import_round_trips_sparse_file(tmp_path):
@@ -97,7 +95,7 @@ def test_import_names_the_file_for_a_label_outside_the_universe(tmp_path, capsys
     capsys.readouterr()
     assert main(["import", "--data", str(src), "--universe", "3", "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: {src}: sample 0: label 5 outside universe 3"]
+    assert err == [f"error: {src}:1: label 5 outside universe 3"]
     assert not out.exists()
 
 
@@ -542,7 +540,7 @@ def test_train_refuses_label_rows_of_different_widths(tmp_path, capsys):
     assert main(["train", "--task", "threshold", "--variant", "scalar", "--dataset", str(path),
                  "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {path}: ") and "width" in err[0]
+    assert len(err) == 1 and err[0].startswith(f"error: {path}:3: ") and "width" in err[0]
 
 
 @pytest.mark.parametrize("task, variant, held", [("task1", "baseline", "threshold"),
@@ -599,7 +597,9 @@ def test_train_refuses_a_sequence_input_outside_input_vocab(tmp_path, capsys):
     assert main(["train", "--task", "task2", "--variant", "per-position", "--epochs", "1",
                  "--dataset", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {path}: ") and "input_vocab" in err[0]
+    first = next(n for n, row in enumerate(rows.splitlines(), start=2)
+                 if max(json.loads(row)["x"]) >= "5")
+    assert len(err) == 1 and err[0].startswith(f"error: {path}:{first}: ") and "input_vocab" in err[0]
     assert not out.exists()
 
 
@@ -615,7 +615,7 @@ def test_train_refuses_a_label_dataset_that_declares_a_max_len(tmp_path, capsys)
     assert main(["train", "--task", "threshold", "--variant", "scalar", "--epochs", "1",
                  "--dataset", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: {path}: a label dataset declares no max_len"]
+    assert err == [f"error: {path}:1: a label dataset declares no max_len"]
     assert not out.exists()
 
 

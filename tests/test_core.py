@@ -13,7 +13,6 @@ from setgen.core import (
     save_dataset,
     seq_from_str,
     seq_to_str,
-    strip_eos,
 )
 
 
@@ -100,7 +99,7 @@ def test_sequence_dataset_refuses_input_outside_input_vocab():
 def test_seq_helpers_round_trip():
     seq = seq_from_str("105", 11)
     assert seq == (1, 0, 5, 10)
-    assert seq_to_str(strip_eos(seq, 11)) == "105"
+    assert seq_to_str(seq[:-1]) == "105"
 
 
 def test_seq_from_str_rejects_out_of_vocab():
@@ -144,3 +143,23 @@ def test_dataset_file_round_trip_keeps_input_vocab(tmp_path):
     path.write_text('{"kind": "sequences", "max_len": 5, "universe": 11}\n'
                     '{"x": "31", "y": ["2"]}\n')
     assert load_dataset(str(path)).input_vocab == 10
+
+
+LABEL_HEADER = '{"kind": "labels", "max_len": 0, "universe": 3}\n'
+
+
+@pytest.mark.parametrize("text, message", [
+    # blank lines count: the row without "x" is the file's line 5
+    (LABEL_HEADER + '\n\n{"x": [1.0], "y": [1]}\n{"y": [2]}\n',
+     "5: malformed sample (KeyError: 'x')"),
+    (LABEL_HEADER + '\n{"x": [1.0], "y": [1]}\n\n{"x": [2.0], "y": [7]}\n',
+     "5: label 7 outside universe 3"),
+    ('{"kind": "labels", "max_len": 5, "universe": 3}\n{"x": [1.0], "y": [1]}\n',
+     "1: a label dataset declares no max_len"),
+], ids=["blank-lines", "label-outside-universe", "header"])
+def test_load_dataset_names_the_files_own_line(tmp_path, text, message):
+    path = tmp_path / "d.jsonl"
+    path.write_text(text)
+    with pytest.raises(ValidationError) as exc:
+        load_dataset(str(path))
+    assert str(exc.value) == f"{path}:{message}"

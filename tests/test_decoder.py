@@ -262,15 +262,13 @@ def test_sequence_decode_with_oracle_gate_worked_example():
 def test_sequence_decode_with_oracle_gate_random_target_sets():
     rng = np.random.default_rng(4)
     model = stub_sequence_model()
-    from setgen.tasks import task2_truth
+    from setgen.tasks import targets as task_targets
 
     for _ in range(25):
-        x_str = "".join(str(d) for d in rng.integers(0, 10, size=20))
-        truth = task2_truth(x_str)
-        if not truth:
+        x = tuple(map(int, rng.integers(0, 10, size=20)))
+        targets = list(task_targets("task2", x))
+        if not targets:
             continue
-        targets = [seq_from_str(s, 11) for s in truth]
-        x = tuple(int(c) for c in x_str)
         res = decode_sequence_set(model, oracle_penalty(targets), x)
         assert res.sequences == frozenset(targets)
 

@@ -106,6 +106,13 @@ def test_the_scalar_check_passes_margin_stats_of_an_oracle():
     assert checks.check_scalar_solution(records, sol, HINGE_WEIGHT) == []
 
 
+@pytest.mark.parametrize("task", ["threshold", "task2"])
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_generated_targets_pass_the_benchmarks_own_copy_of_the_rule(task, seed):
+    samples = generate(TaskSpec(task, n=300, seed=seed)).samples
+    assert checks.check_targets(task, samples) == []
+
+
 @pytest.mark.parametrize("name, pipeline", [("threshold-labels", "threshold_pipeline"),
                                             ("task2-seqsets", "task2_pipeline")])
 def test_the_benchmark_pipelines_run_at_toy_size(name, pipeline):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from setgen.core import ValidationError, strip_eos
+from setgen.core import ValidationError
 from setgen.tasks import (
     TaskSpec,
     featurize_digits,
@@ -10,69 +10,90 @@ from setgen.tasks import (
     split_train_test,
     targets,
     task1_label_view,
-    task1_truth,
-    task2_truth,
-    threshold_truth,
 )
 
 
+def digits(s: str) -> tuple[int, ...]:
+    return tuple(int(ch) for ch in s)
+
+
+def seqs(*strs: str) -> tuple:
+    """Complete token sequences (end token 10 appended), sorted as targets returns them."""
+    return tuple(sorted(digits(s) + (10,) for s in strs))
+
+
 def brute_force_task2(x: str) -> set[str]:
-    # Independent re-implementation used to cross-check the truth function.
+    # Independent re-implementation on digit strings used to cross-check the rule.
     pairs = [(int(x[k]), int(x[k + 1])) for k in (0, 2, 4, 6, 8)]
     a = x[10:]
     return {a[s:e] for s, e in pairs if len(a[s:e]) > 0}
 
 
 def test_threshold_examples():
-    assert threshold_truth(1.01) == frozenset(range(2, 11))
-    assert threshold_truth(9.5) == frozenset({10})
-    assert threshold_truth(8.7) == frozenset({9, 10})
+    assert targets("threshold", (1.01,)) == tuple(range(2, 11))
+    assert targets("threshold", (9.5,)) == (10,)
+    assert targets("threshold", (8.7,)) == (9, 10)
+    assert targets("threshold", (3.0,)) == tuple(range(4, 11))
 
 
 def test_threshold_past_range_is_empty_and_flagged():
     with pytest.warns(UserWarning):
-        assert threshold_truth(10.5) == frozenset()
+        assert targets("threshold", (10.5,)) == ()
 
 
 def test_task1_examples():
-    assert task1_truth("33874") == frozenset({3, 8})
-    assert task1_truth("512345") == frozenset({5, 1, 2, 3, 4})
-    assert task1_truth("99999999999") == frozenset({9})
+    assert targets("task1", digits("33874")) == seqs("3", "8")
+    assert targets("task1", digits("512345")) == seqs("5", "1", "2", "3", "4")
+    assert targets("task1", digits("99999999999")) == seqs("9")
 
 
 def test_task1_rejects_short_input():
     with pytest.raises(ValidationError):
-        task1_truth("92")
+        targets("task1", digits("92"))
 
 
 def test_task1_rejects_zero_lead():
     with pytest.raises(ValidationError):
-        task1_truth("09")
+        targets("task1", digits("09"))
+
+
+def test_task1_rejects_a_token_above_9():
+    # read as the digit string "123", (12, 3) would give the one target (1,)
+    for x in [(12, 3), (1, 10), (1, -1)]:
+        with pytest.raises(ValidationError, match="digits 0-9"):
+            targets("task1", x)
 
 
 def test_task2_worked_example():
-    assert task2_truth("00490000349172105519") == frozenset({"2", "10551"})
+    assert targets("task2", digits("00490000349172105519")) == seqs("2", "10551")
 
 
 def test_task2_all_degenerate_pairs_give_empty_set():
     # every s_i >= e_i, so nothing counts
-    assert task2_truth("10543298769876543210") == frozenset()
+    assert targets("task2", digits("10543298769876543210")) == ()
 
 
 def test_task2_repeated_single_pair():
-    assert task2_truth("01010101019876543210") == frozenset({"9"})
+    assert targets("task2", digits("01010101019876543210")) == seqs("9")
 
 
 def test_task2_matches_brute_force():
     rng = np.random.default_rng(3)
     for _ in range(500):
         x = "".join(str(d) for d in rng.integers(0, 10, size=20))
-        assert task2_truth(x) == frozenset(brute_force_task2(x))
+        assert targets("task2", digits(x)) == seqs(*brute_force_task2(x))
 
 
 def test_task2_rejects_wrong_length():
     with pytest.raises(ValidationError):
-        task2_truth("123")
+        targets("task2", digits("123"))
+
+
+def test_task2_rejects_19_tokens_that_print_as_20_digits():
+    x = (12,) + digits("345678901234567890")
+    assert len(x) == 19 and len("".join(map(str, x))) == 20
+    with pytest.raises(ValidationError, match="digits 0-9"):
+        targets("task2", x)
 
 
 def test_generate_threshold_targets_in_range():
@@ -80,7 +101,7 @@ def test_generate_threshold_targets_in_range():
     assert ds.kind == "labels" and ds.universe == 11
     for s in ds.samples:
         assert set(s.y) <= set(range(1, 11))
-        assert set(s.y) == threshold_truth(s.x[0])
+        assert s.y == tuple(y for y in range(1, 11) if y > s.x[0])
 
 
 def test_generate_is_deterministic(tmp_path):
@@ -96,18 +117,16 @@ def test_generate_task1_self_check():
     ds = generate(TaskSpec(task="task1", n=300, seed=5))
     assert ds.kind == "sequences" and ds.universe == 11 and ds.max_len == 2
     for s in ds.samples:
-        x = "".join(str(t) for t in s.x)
-        got = {seq[0] for seq in s.y}
-        assert got == task1_truth(x)
-        assert 1 <= int(x[0]) <= 9 and len(x) >= int(x[0])
+        m = s.x[0]
+        assert 1 <= m <= 9 and len(s.x) >= m
+        assert s.y == tuple((d, 10) for d in sorted(set(s.x[:m])))
 
 
 def test_generate_task2_self_check():
     ds = generate(TaskSpec(task="task2", n=300, seed=6))
     for s in ds.samples:
         x = "".join(str(t) for t in s.x)
-        got = {"".join(str(t) for t in strip_eos(seq, ds.universe)) for seq in s.y}
-        assert got == task2_truth(x)
+        assert s.y == seqs(*brute_force_task2(x))
 
 
 def test_targets_are_stored_as_a_sample_holds_them():
@@ -176,3 +195,17 @@ def test_load_multilabel_scene_shape(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     ds = load_multilabel(str(path), n_features=294, universe=6)
     assert len(ds) == 2407 and ds.input_dim == 294 and ds.universe == 6
+
+
+
+@pytest.mark.parametrize("text, sizes, message", [
+    ("1 0:0.5\n0 0:1 0:3\n", {}, "2: repeated feature index 0"),
+    ("1 0:0.5\n\n0 3:1.0\n", {"n_features": 2}, "3: feature index 3 exceeds dimension 2"),
+    ("1 0:0.5\n\n2,7 1:1.0\n", {"universe": 3}, "3: label 7 outside universe 3"),
+], ids=["repeated-index", "index-past-dimension", "label-outside-universe"])
+def test_load_multilabel_refuses_a_sample_on_its_line(tmp_path, text, sizes, message):
+    path = tmp_path / "ml.txt"
+    path.write_text(text)
+    with pytest.raises(ValidationError) as exc:
+        load_multilabel(str(path), **sizes)
+    assert str(exc.value) == f"{path}:{message}"
