@@ -3,8 +3,8 @@
 A base model (softmax classifier or encoder-decoder sequence model) is trained
 on flattened (input, set-element) pairs; a calibrated repeat penalty then lets
 a greedy argmax loop emit one new element per step until the whole set has
-been produced.  The penalty is either a max-margin scalar, one scalar per
-output position, or a learned binary classifier over the base model's logits.
+been produced.  The penalty is one max-margin value per output position (a
+label set has one) or a learned binary classifier over the base model's logits.
 """
 
 __version__ = "0.1.0"

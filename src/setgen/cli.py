@@ -58,7 +58,7 @@ from .penalty import PenaltyParams, solve_lambda_per_position
 # Each variant's penalty kind (None: the multi-label baseline, which has no
 # penalty), its gate's LambdaNet variant and its reproduce column.
 VARIANTS = {
-    "scalar": ("scalar", None, "ssg-s"),
+    "scalar": ("per-position", None, "ssg-s"),  # a label set's one position
     "per-position": ("per-position", None, "ssg-s"),
     "learned-recurrent": ("learned", "recurrent", "ssg-recurrent"),
     "learned-windowed": ("learned", "windowed", "ssg-windowed"),
@@ -133,15 +133,22 @@ class RunConfig:
         return json_hash(asdict(self))
 
 
-def _check_kind(cfg: RunConfig, dataset: Dataset, source: str) -> None:
-    """Refuse a dataset of another set kind than its task, or that breaks its task's rule."""
+def _check_rule(task: str, dataset: Dataset, sample) -> None:
+    """Refuse a sample of the task's set kind whose targets differ from its synthetic rule."""
+    if (task in tasks.SYNTHETIC_TASKS and dataset.kind == TASKS[task][0]
+            and sample.y != tasks.targets(task, sample.x)):
+        raise ValidationError(f"targets differ from the {task} rule")
+
+
+def _check_kind(cfg: RunConfig, dataset: Dataset, source: str, rule: bool = True) -> None:
+    """Refuse a dataset of another set kind than its task; with ``rule``, then by
+    index the first sample :func:`_check_rule` refuses."""
     kind = TASKS[cfg.task][0]
     if dataset.kind != kind:
         raise ValidationError(f"task {cfg.task!r} needs {kind}, {source} holds {dataset.kind}")
-    for i, s in enumerate(dataset.samples if cfg.task in tasks.SYNTHETIC_TASKS else ()):
+    for i, s in enumerate(dataset.samples if rule else ()):
         try:
-            if s.y != tasks.targets(cfg.task, s.x):
-                raise ValidationError(f"targets differ from the {cfg.task} rule")
+            _check_rule(cfg.task, dataset, s)
         except ValidationError as exc:
             raise ValidationError(f"{source}: sample {i}: {exc}") from exc
 
@@ -152,19 +159,11 @@ def _write_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
-def _fresh_dir(path: str, marker: str | None = None) -> str:
-    """Create a run directory; refuse to overwrite one that already has results.
-
-    Run directories are append-only: a directory holding ``marker`` was
-    written by an earlier command and stays immutable.
-    """
-    os.makedirs(path, exist_ok=True)
-    if marker and os.path.exists(os.path.join(path, marker)):
-        raise ValidationError(
-            f"refusing to overwrite existing run artifacts in {path!r} "
-            f"({marker} already present); choose a fresh --out"
-        )
-    return path
+def _refuse_written(path: str, marker: str) -> None:
+    """Refuse, before any work, a run directory holding ``marker``: it is append-only."""
+    if os.path.exists(os.path.join(path, marker)):
+        raise ValidationError(f"refusing to overwrite existing run artifacts in {path!r} "
+                              f"({marker} already present); choose a fresh --out")
 
 
 def _build_dataset(cfg: RunConfig) -> Dataset:
@@ -205,13 +204,17 @@ def train_run(cfg: RunConfig, dataset: Dataset | None = None, out: str | None = 
 
     A ``base_model`` passed in (already trained on this config's split) is
     reused instead of fitted, and the report says so; so are ``gate_examples``.
-    ``source`` names the file a passed-in dataset was read from: a refusal names
-    it.  A dataset read from a file (``source`` or ``data``) is hashed into the config.
-    ``n`` records the dataset's size, and ``base`` goes to ``_persist_run``.
+    ``source`` names a dataset file to read in place of ``dataset``.  A dataset
+    read from a file (``source`` or ``data``) is hashed into the config.  ``n``
+    records the dataset's size, and ``base`` goes to ``_persist_run``.
     """
+    if out:
+        _refuse_written(out, "config.json")
+    if source:  # a file's samples are held to the task's rule line by line
+        dataset = load_dataset(source, check=lambda d, s: _check_rule(cfg.task, d, s))
     dataset = dataset if dataset is not None else _build_dataset(cfg)
+    _check_kind(cfg, dataset, source or "the dataset", rule=not source)
     cfg = replace(cfg, n=len(dataset))
-    _check_kind(cfg, dataset, source or "the dataset")
     train_ds, test_ds = tasks.split_train_test(dataset, cfg.split, cfg.seed)
     config = asdict(cfg)
     if source or cfg.data:  # the file's content, not the spelling of its path
@@ -233,7 +236,7 @@ def train_run(cfg: RunConfig, dataset: Dataset | None = None, out: str | None = 
         art.base_model = _fit_base_model(cfg, train_ds)
     report["train_losses"] = art.base_model.train_losses
     kind, gate_variant, _ = VARIANTS[cfg.variant]
-    if kind in ("scalar", "per-position"):  # a label set gives the scalar penalty
+    if kind == "per-position":
         penalty = solve_lambda_per_position(art.base_model, train_ds)
     elif kind == "learned":
         gate, art.gate_examples = _fit_gate(cfg, gate_variant, art.base_model, train_ds,
@@ -273,9 +276,8 @@ def _fit_gate(cfg: RunConfig, variant: str, model, train_ds: Dataset, report: di
         cut = max(1, int(round(0.9 * len(train_ds))))
         examples = tuple(build_lambda_training_set(model, replace(train_ds, samples=part))
                          for part in (train_ds.samples[:cut], train_ds.samples[cut:]))
-    train, holdout = examples
-    # A label dataset declares no max_len; its examples sit at position 1.
-    gate = train_lambda_net(train, variant, _train_cfg(cfg, 1), max_len=train_ds.max_len or 1)
+    train, holdout = examples  # a label set's max_len, 0, leaves it to the examples: 1
+    gate = train_lambda_net(train, variant, _train_cfg(cfg, 1), max_len=train_ds.max_len)
     report["gate_train_losses"] = gate.train_losses
     report["gate_validation_accuracy"] = gate_accuracy(gate, holdout)
     return gate, examples
@@ -285,14 +287,15 @@ def _persist_run(art: RunArtifacts, out: str, base: str | None = None) -> None:
     """Write a run; with ``base``, its dataset and base model go there once, and
     ``config.json``'s ``refs`` maps each name to its path from ``out`` and SHA-256.
     """
-    out = _fresh_dir(out, marker="config.json")
+    os.makedirs(out, exist_ok=True)
     refs = {}
     for name, save in (("dataset.jsonl", lambda p: save_dataset(art.dataset, p)),
                        (_model_file(art.cfg), lambda p: save_checkpoint(art.base_model, p))):
         if base is None or name == "baseline.json":  # the baseline's model is its own
             save(os.path.join(out, name))
             continue
-        path = os.path.join(_fresh_dir(base), name)
+        os.makedirs(base, exist_ok=True)
+        path = os.path.join(base, name)
         if not os.path.exists(path):
             save(path)
         refs[name] = {"path": os.path.relpath(path, out),
@@ -359,8 +362,8 @@ def load_run(run_dir: str) -> RunArtifacts:
         if hashlib.sha256(Path(ref_path).read_bytes()).hexdigest() != sha256:
             raise ValidationError(f"{ref_path}: bytes differ from the sha256 in {config}")
     path = lambda name: refs[name][0] if name in refs else os.path.join(run_dir, name)
-    dataset = load_dataset(path("dataset.jsonl"))
-    _check_kind(cfg, dataset, path("dataset.jsonl"))
+    dataset = load_dataset(path("dataset.jsonl"), check=lambda d, s: _check_rule(cfg.task, d, s))
+    _check_kind(cfg, dataset, path("dataset.jsonl"), rule=False)
     train_ds, test_ds = tasks.split_train_test(dataset, cfg.split, cfg.seed)
     art = RunArtifacts(cfg=cfg, dataset=dataset, train_split=train_ds, test_split=test_ds,
                        config_hash=config_hash)
@@ -421,7 +424,10 @@ def _sample_report(x, pred, iterations: int, repeats: int, truncated: bool) -> d
 
 def eval_run(art: RunArtifacts, out: str | None = None,
              metric: str | None = None) -> metrics.EvalReport:
-    """Decode the held-out split and score it with the task's metric."""
+    """Decode the held-out split and score it with the task's metric; an
+    ``out`` that holds an eval is refused before any decode."""
+    if out:
+        _refuse_written(out, "eval_report.json")
     cfg = art.cfg
     metric = metric or TASKS[cfg.task][2]
     ds = art.test_split
@@ -438,7 +444,7 @@ def eval_run(art: RunArtifacts, out: str | None = None,
     n_truncated = sum(1 for r in results if r[3])
     report = metrics.evaluate(preds, truths, metric, n_truncated=n_truncated)
     if out:
-        out = _fresh_dir(out, marker="eval_report.json")
+        os.makedirs(out, exist_ok=True)
         doc = report.to_dict()
         doc["version"] = __version__
         doc["config_hash"] = art.config_hash
@@ -480,7 +486,8 @@ def reproduce(task: str, out: str, n: int | None = None, seed: int = RunConfig.s
                          seed=seed, epochs=epochs, data=data) for variant in TASKS[task][1]]
     dataset = _build_dataset(configs[0])
     tasks.split_train_test(dataset, configs[0].split, seed)  # refuses too few samples
-    out = _fresh_dir(out, marker="reproduce_report.json")
+    _refuse_written(out, "reproduce_report.json")
+    os.makedirs(out, exist_ok=True)
     scores: dict[str, float] = {}
     reports: dict[str, dict] = {}
     base_model = gate_examples = None
@@ -560,8 +567,7 @@ def _format_table(task: str, metric: str, names: list[str], cells: list) -> str:
 # --- argument parsing ----------------------------------------------------------------
 
 
-def _merged_config(args: argparse.Namespace, required: tuple[str, ...] = (),
-                   dataset: Dataset | None = None) -> RunConfig:
+def _merged_config(args: argparse.Namespace, required: tuple[str, ...] = ()) -> RunConfig:
     doc: dict = _read_run_file(args.config, dict) if args.config else {}
     unknown = sorted(set(doc) - set(RunConfig.__dataclass_fields__))
     if unknown:
@@ -573,7 +579,7 @@ def _merged_config(args: argparse.Namespace, required: tuple[str, ...] = (),
     for key in required:
         if key not in doc:
             raise ValidationError(f"missing required config key {key!r}")
-    if dataset is not None:  # read from args.dataset: it holds the samples, data names it
+    if args.dataset is not None:  # it holds the samples, data names it
         given = [key for key in ("n", "data") if key in doc]
         if given:
             raise ValidationError(f"--dataset holds the samples; drop {' and '.join(given)}")
@@ -634,8 +640,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.cmd == "gen":
             spec = tasks.TaskSpec(task=args.task, n=args.n, seed=args.seed or 0)
-            out = _fresh_dir(args.out or ".")
+            out = args.out or "."
             ds = tasks.generate(spec)
+            os.makedirs(out, exist_ok=True)
             path = os.path.join(out, f"{args.task}.jsonl")
             save_dataset(ds, path)
             _write_json(os.path.join(out, f"{args.task}.manifest.json"), {
@@ -650,16 +657,16 @@ def main(argv: list[str] | None = None) -> int:
         if args.cmd == "import":
             ds = tasks.load_multilabel(args.data, n_features=args.features,
                                        universe=args.universe)
-            out = _fresh_dir(args.out or ".")
+            out = args.out or "."
+            os.makedirs(out, exist_ok=True)
             path = os.path.join(out, "imported.jsonl")
             save_dataset(ds, path)
             print(path)
             return 0
         if args.cmd == "train":
-            dataset = load_dataset(args.dataset) if args.dataset else None
-            cfg = _merged_config(args, required=("task", "variant"), dataset=dataset)
+            cfg = _merged_config(args, required=("task", "variant"))
             out = args.out or "run"
-            train_run(cfg, dataset=dataset, out=out, source=args.dataset)
+            train_run(cfg, out=out, source=args.dataset)
             print(out)
             return 0
         if args.cmd == "eval":

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
@@ -188,9 +189,10 @@ def save_dataset(dataset: Dataset, path: str) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def load_dataset(path: str) -> Dataset:
+def load_dataset(path: str, check=None) -> Dataset:
     """Read a dataset written by :func:`save_dataset`; refuses a malformed file.
 
+    ``check(spec, sample)``, if given, vets each sample too; ``spec`` is the header.
     A refusal names the file's own line (blank lines count, and are skipped).
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -226,7 +228,11 @@ def load_dataset(path: str) -> Dataset:
             spec = replace(spec, input_dim=len(x))
         samples.append(SetSample(x=x, y=y))
         try:
+            if not all(map(math.isfinite, x)):  # json reads NaN and Infinity
+                raise ValidationError("non-finite input value")
             spec.check_sample(samples[-1])
+            if check is not None:
+                check(spec, samples[-1])
         except ValidationError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     return replace(spec, samples=tuple(samples))

@@ -125,15 +125,13 @@ def decode_sequence_set(model, penalty: PenaltyParams, x, rho: float = 0.0,
                         max_branches: int = 1024) -> SequenceDecodeResult:
     """Breadth-wise set-of-sequences decode.
 
-    ``penalty`` must be per-position or learned; each branch emits the
-    tokens :func:`position_tokens` picks.  Branches that reach the model's
-    ``max_len`` without the end token are discarded and flagged; the live
-    frontier is capped at ``max_branches`` to keep miscalibrated penalties
-    from expanding exponentially.  Branches are scored through one
-    ``DecoderSession``, so a branch the cap drops is never stepped.
+    Each branch emits the tokens :func:`position_tokens` picks.  Branches
+    that reach the model's ``max_len`` without the end token are discarded
+    and flagged; the live frontier is capped at ``max_branches`` to keep
+    miscalibrated penalties from expanding exponentially.  Branches are
+    scored through one ``DecoderSession``, so a branch the cap drops is
+    never stepped.
     """
-    if penalty.variant == "scalar":
-        raise ValidationError("sequence decoding needs a per-position or learned penalty")
     if penalty.variant == "learned" and penalty.classifier is None:
         raise ValidationError("learned penalty has no classifier attached")
     if max_branches < 1:

@@ -8,7 +8,7 @@ Zero is reached only for identical singleton sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 from .core import ValidationError
@@ -79,15 +79,7 @@ class EvalReport:
     n_both_empty: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "aggregate": self.aggregate,
-            "exact_match_rate": self.exact_match_rate,
-            "n_samples": self.n_samples,
-            "n_truncated": self.n_truncated,
-            "n_both_empty": self.n_both_empty,
-            "per_sample": self.per_sample,
-        }
+        return asdict(self)
 
 
 def evaluate(predictions: Sequence[Iterable], truths: Sequence[Iterable], metric: str,

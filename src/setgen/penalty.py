@@ -1,18 +1,19 @@
 """Max-margin calibration of the repeat penalty.
 
-The scalar penalty is the minimizer of a one-dimensional quadratic subject to
-box constraints collected from every flattened pair: the penalized posterior
-of a produced element must stay above the best negative and below the worst
-unproduced positive.  The minimizer is therefore either the unconstrained
-mean clipped to the interval.  When the constraints conflict (interval
-empty) the exact minimizer of the quadratic plus weighted hinge penalties is
-a graceful compromise, and the result is flagged infeasible.
+The penalty at one output position is the minimizer of a one-dimensional
+quadratic subject to box constraints collected from every node there: the
+penalized posterior of a produced element must stay above the best negative
+and below the worst unproduced positive.  The minimizer is therefore the
+unconstrained mean clipped to the interval.  When the constraints conflict
+(interval empty) the exact minimizer of the quadratic plus weighted hinge
+penalties is a graceful compromise, and the result is flagged infeasible.
 
 Calibration reads one node table, :func:`position_nodes`: the base model's
 scores at every node the targets visit, one per distinct target prefix of a
 sequence sample and one at position 1 per label sample.  Each position is
-solved on its own nodes, so a label set's one position is the scalar
-penalty; the gate examples of :mod:`setgen.lambda_net` are the same table.
+solved on its own nodes, so a label set's penalty is the per-position
+penalty of its one position; the gate examples of :mod:`setgen.lambda_net`
+are the same table.
 
 Records are held as a struct of arrays (:class:`MarginRecords`): aligned
 ``p``, ``l_pos_min`` and ``l_neg_max`` vectors, built in one vectorized pass
@@ -146,17 +147,16 @@ class LambdaSolution:
 
 @dataclass
 class PenaltyParams:
-    """The calibrated penalty in one of three variants.
+    """The calibrated penalty in one of two variants.
 
-    ``scalar`` carries one value; ``per-position`` one value per output
-    position; ``learned`` delegates to a classifier object exposing
-    ``classify(logits, position_id, prefix=None) -> frozenset[int]``.
+    ``per-position`` carries one value per output position (a label set has
+    one position, so one value); ``learned`` delegates to a classifier object
+    exposing ``classify(logits, position_id, prefix=None) -> frozenset[int]``.
     ``model_hash`` records the base-model checkpoint the calibration ran
     against; decoding refuses a mismatch unless overridden.
     """
 
-    variant: str  # "scalar" | "per-position" | "learned"
-    value: float | None = None
+    variant: str  # "per-position" | "learned"
     values: tuple[float, ...] | None = None
     solutions: tuple[LambdaSolution, ...] = ()
     classifier: object | None = None
@@ -164,13 +164,11 @@ class PenaltyParams:
     model_hash: str | None = None
 
     def __post_init__(self) -> None:
-        if self.variant not in ("scalar", "per-position", "learned"):
+        if self.variant not in ("per-position", "learned"):
             raise ValidationError(f"unknown penalty variant {self.variant!r}")
-        if self.variant == "scalar" and (self.value is None or not np.isfinite(self.value)):
-            raise ValidationError("scalar penalty requires a finite value")
-        if self.variant == "per-position":
-            if not self.values or any(not np.isfinite(v) for v in self.values):
-                raise ValidationError("per-position penalty requires finite values")
+        if self.variant == "per-position" and (
+                not self.values or any(not np.isfinite(v) for v in self.values)):
+            raise ValidationError("per-position penalty requires finite values")
         if not all(ref is None or isinstance(ref, str)
                    for ref in (self.classifier_ref, self.model_hash)):
             raise ValidationError("classifier_ref and model_hash must be strings")
@@ -179,16 +177,13 @@ class PenaltyParams:
         """Penalty for 1-based output position; positions past the table reuse the last."""
         if position < 1:
             raise ValidationError(f"output positions start at 1, got {position}")
-        if self.variant == "scalar":
-            return float(self.value)
         if self.variant == "per-position":
             return float(self.values[min(position, len(self.values)) - 1])
-        raise ValidationError("learned penalties have no scalar value")
+        raise ValidationError("learned penalties have no per-position value")
 
     def to_dict(self) -> dict:
         return {
             "variant": self.variant,
-            "value": self.value,
             "values": list(self.values) if self.values is not None else None,
             "feasibility": [s.to_dict() for s in self.solutions],
             "classifier_ref": self.classifier_ref,
@@ -207,10 +202,11 @@ class PenaltyParams:
             )
             for s in doc.get("feasibility", [])
         )
-        value, values = doc.get("value"), doc.get("values")
+        variant, values = doc["variant"], doc.get("values")
+        if variant == "scalar":  # an older file's form of the one-value per-position penalty
+            variant, values = "per-position", [doc["value"]]
         return cls(
-            variant=doc["variant"],
-            value=float(value) if value is not None else None,
+            variant=variant,
             values=tuple(map(float, values)) if values is not None else None,
             solutions=sols,
             classifier_ref=doc.get("classifier_ref"),
@@ -382,8 +378,8 @@ def solve_lambda_per_position(model, dataset: Dataset) -> PenaltyParams:
     """One closed-form penalty per position 1..``max_len`` of the :func:`position_nodes`.
 
     A position without records inherits the previous position's value,
-    flagged as carried.  A label dataset declares no ``max_len``: its one
-    position is the scalar solve, returned as the ``scalar`` penalty.
+    flagged as carried.  A label dataset declares no ``max_len``: it has one
+    position, so its penalty holds one value.
     """
     nodes = position_nodes(model, dataset)
     solutions: list[LambdaSolution] = []
@@ -398,8 +394,5 @@ def solve_lambda_per_position(model, dataset: Dataset) -> PenaltyParams:
     n_carried = sum(s.carried for s in solutions)
     if n_carried:
         log.info("per-position calibration: %d position(s) carried forward", n_carried)
-    if not dataset.max_len:
-        return PenaltyParams(variant="scalar", value=solutions[0].value,
-                             solutions=tuple(solutions))
     return PenaltyParams(variant="per-position", values=tuple(s.value for s in solutions),
                          solutions=tuple(solutions))

@@ -187,6 +187,8 @@ def load_multilabel(path: str, n_features: int | None = None,
                     i, v = int(idx), float(val)
                 except ValueError as exc:
                     raise ValidationError(f"{path}:{lineno}: bad feature {tok!r}") from exc
+                if not np.isfinite(v):
+                    raise ValidationError(f"{path}:{lineno}: non-finite feature {tok!r}")
                 if i in feats:
                     raise ValidationError(f"{path}:{lineno}: repeated feature index {i}")
                 feats[i] = v

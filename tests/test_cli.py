@@ -99,6 +99,21 @@ def test_import_names_the_file_for_a_label_outside_the_universe(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["import", "train"])
+def test_a_non_finite_feature_is_refused_on_its_line(tmp_path, capsys, verb):
+    src = tmp_path / "ml.txt"
+    src.write_text("0 0:0.5\n\n1,2 0:1.0 1:nan\n2 1:2.0\n")
+    out = tmp_path / "o"
+    argv = {"import": ["import", "--data", str(src)],
+            "train": ["train", "--task", "multilabel-file", "--variant", "scalar",
+                      "--epochs", "1", "--data", str(src)]}[verb]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {src}:3: non-finite feature '1:nan'"]
+    assert not out.exists()
+
+
 # --- train ------------------------------------------------------------------------
 
 
@@ -108,10 +123,26 @@ def test_train_scalar_threshold_reports_one_lambda(tmp_path):
     train_run(cfg, out=str(out))
     report = json.loads(read(out / "train_report.json"))
     pen = report["penalty"]
-    assert pen["variant"] == "scalar"
-    assert isinstance(pen["value"], float)
+    assert pen["variant"] == "per-position" and "value" not in pen
+    assert pen["values"] == [pen["feasibility"][0]["value"]]
+    assert isinstance(pen["values"][0], float)
     assert len(pen["feasibility"]) == 1
     assert "feasible" in pen["feasibility"][0]
+
+
+def test_a_penalty_file_in_the_scalar_form_evaluates_as_its_per_position_form(tmp_path):
+    # older versions wrote a label run's penalty as "scalar" with its one "value"
+    run = _run_of(tmp_path, "scalar")
+    eval_run(load_run(str(run)), out=str(tmp_path / "e-new"))
+    doc = json.loads(read(run / "penalty.json"))
+    (lam,) = doc["values"]
+    (run / "penalty.json").write_text(json.dumps({**doc, "variant": "scalar", "value": lam,
+                                                  "values": None}))
+    art = load_run(str(run))
+    assert art.penalty.variant == "per-position" and art.penalty.values == (lam,)
+    eval_run(art, out=str(tmp_path / "e-old"))
+    for name in ("decode_report.jsonl", "eval_report.json"):
+        assert read(tmp_path / "e-old" / name) == read(tmp_path / "e-new" / name)
 
 
 def test_train_per_position_reports_value_per_position(tmp_path):
@@ -212,7 +243,7 @@ def test_eval_oracle_fixture_scores_perfectly(tmp_path):
         cfg=RunConfig(task="threshold", variant="scalar", n=80, seed=4),
         dataset=ds, train_split=train_ds, test_split=test_ds,
         base_model=oracle,
-        penalty=PenaltyParams(variant="scalar", value=sol.value, solutions=(sol,)),
+        penalty=PenaltyParams(variant="per-position", values=(sol.value,), solutions=(sol,)),
     )
     report = eval_run(art)
     assert report.aggregate == 1.0
@@ -561,8 +592,10 @@ def test_train_refuses_a_dataset_of_another_kind_than_its_task(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("case", ["train-task1-on-task2", "train-task2-on-task1",
-                                  "eval-edited-target"])
+                                  "train-edited-after-blank-lines", "eval-edited-target"])
 def test_a_dataset_that_breaks_its_task_rule_is_refused(tmp_path, capsys, monkeypatch, case):
+    # the refusal names the file's 1-based line, blank lines counted
+    line = 6 if case == "train-edited-after-blank-lines" else 2
     if case == "eval-edited-target":
         run = _run_of(tmp_path, "scalar")
         path = run / "dataset.jsonl"
@@ -572,9 +605,16 @@ def test_a_dataset_that_breaks_its_task_rule_is_refused(tmp_path, capsys, monkey
         path.write_text("\n".join(lines) + "\n")
         argv = ["eval", "--run", str(run)]
     else:
-        task, held = ("task1", "task2") if case == "train-task1-on-task2" else ("task2", "task1")
+        task, held = {"train-task1-on-task2": ("task1", "task2"),
+                      "train-task2-on-task1": ("task2", "task1"),
+                      "train-edited-after-blank-lines": ("task1", "task1")}[case]
         assert main(["gen", "--task", held, "--n", "20", "--out", str(tmp_path)]) == 0
         path = tmp_path / f"{held}.jsonl"
+        if case == "train-edited-after-blank-lines":
+            head, *rows = read(path).splitlines()
+            row = json.loads(rows[2])  # sample 2, on line 6 after two blank lines
+            rows[2] = json.dumps({**row, "y": sorted(set(row["y"]) ^ {"0"})})  # toggle 0
+            path.write_text("\n".join([head, "", "", *rows]) + "\n")
         monkeypatch.setattr(cli, "_fit_base_model",
                             lambda *a, **kw: pytest.fail("fitted before the check"))
         argv = ["train", "--task", task, "--variant", "per-position", "--epochs", "1",
@@ -583,7 +623,7 @@ def test_a_dataset_that_breaks_its_task_rule_is_refused(tmp_path, capsys, monkey
     capsys.readouterr()
     assert main([*argv, "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {path}: sample ")
+    assert len(err) == 1 and err[0].startswith(f"error: {path}:{line}: ")
     assert not out.exists()
 
 
@@ -903,16 +943,22 @@ def test_flags_a_verb_does_not_read_fail_at_parsing(tmp_path, argv):
     assert exc.value.code == 2
 
 
-def test_run_directories_are_append_only(tmp_path):
+def test_run_directories_are_append_only(tmp_path, monkeypatch):
     cfg = RunConfig(task="threshold", variant="scalar", n=30, epochs=2, seed=1)
     out = tmp_path / "run"
     train_run(cfg, out=str(out))
-    with pytest.raises(ValidationError, match="refusing to overwrite"):
-        train_run(cfg, out=str(out))
     eval_out = tmp_path / "eval"
     eval_run(load_run(str(out)), out=str(eval_out))
+    art = load_run(str(out))
+    # an occupied --out is refused before any fit or decode
+    calls = []
+    for name in ("_fit_base_model", "_predict_sample"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name: calls.append(name))
     with pytest.raises(ValidationError, match="refusing to overwrite"):
-        eval_run(load_run(str(out)), out=str(eval_out))
+        train_run(cfg, out=str(out))
+    with pytest.raises(ValidationError, match="refusing to overwrite"):
+        eval_run(art, out=str(eval_out))
+    assert calls == []
 
 
 def test_run_config_validation():

@@ -156,7 +156,11 @@ LABEL_HEADER = '{"kind": "labels", "max_len": 0, "universe": 3}\n'
      "5: label 7 outside universe 3"),
     ('{"kind": "labels", "max_len": 5, "universe": 3}\n{"x": [1.0], "y": [1]}\n',
      "1: a label dataset declares no max_len"),
-], ids=["blank-lines", "label-outside-universe", "header"])
+    # json reads NaN and Infinity, which no feature may hold
+    (LABEL_HEADER + '{"x": [1.0], "y": [1]}\n\n{"x": [NaN], "y": [2]}\n',
+     "4: non-finite input value"),
+    (LABEL_HEADER + '{"x": [-Infinity], "y": [1]}\n', "2: non-finite input value"),
+], ids=["blank-lines", "label-outside-universe", "header", "nan", "infinity"])
 def test_load_dataset_names_the_files_own_line(tmp_path, text, message):
     path = tmp_path / "d.jsonl"
     path.write_text(text)

@@ -199,7 +199,8 @@ def test_position_tokens_on_a_scalar_penalty_match_decode_set(rho):
         logits = rng.normal(scale=2.0, size=int(rng.integers(2, 12)))
         lam = float(rng.uniform(-0.2, 0.6))
         res = decode_set(Posterior(nn.softmax(logits)), lam, None, rho=rho)
-        got = position_tokens(PenaltyParams(variant="scalar", value=lam), logits, 1, rho=rho)
+        penalty = PenaltyParams(variant="per-position", values=(lam,))
+        got = position_tokens(penalty, logits, 1, rho=rho)
         assert got == (list(res.labels), res.iterations, res.repeats)
 
 
@@ -310,12 +311,6 @@ def test_sequence_decode_all_rejected_gives_empty_set_and_flag():
     res = decode_sequence_set(stub_sequence_model(), penalty, (1, 2, 3))
     assert res.sequences == frozenset()
     assert res.dead_ends == 1
-
-
-def test_sequence_decode_rejects_scalar_penalty():
-    with pytest.raises(ValidationError):
-        decode_sequence_set(stub_sequence_model(),
-                            PenaltyParams(variant="scalar", value=0.1), (1,))
 
 
 @pytest.mark.parametrize("max_branches", [0, -1])

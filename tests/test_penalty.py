@@ -393,8 +393,8 @@ def test_label_calibration_reads_the_node_table():
         assert getattr(records, name).tobytes() == getattr(want, name).tobytes()
     penalty = solve_lambda_per_position(model, train)
     sol = solve_lambda(records)
-    assert penalty.variant == "scalar" and penalty.values is None
-    assert penalty.value == sol.value and penalty.solutions == (sol,)
+    assert penalty.variant == "per-position"
+    assert penalty.values == (sol.value,) and penalty.solutions == (sol,)
 
 
 def test_margin_stats_of_a_sequence_dataset_are_its_first_position_records():
@@ -568,12 +568,13 @@ def test_threshold_lambda_and_label_sets_agree_with_per_sample_posteriors():
                               n_labels=train.universe)
     penalty = solve_lambda_per_position(model, train)
     reference = solve_lambda(per_sample_margin_records(model, train))
-    assert penalty.variant == "scalar"
-    assert abs(penalty.value - reference.value) <= 1e-15
+    assert penalty.variant == "per-position" and len(penalty.values) == 1
+    assert abs(penalty.values[0] - reference.value) <= 1e-15
     assert penalty.solutions[0].candidate == reference.candidate
     rows = model.scores(np.array([s.x for s in test.samples]))
+    by_reference = PenaltyParams(variant="per-position", values=(reference.value,))
     decoded = [[position_tokens(pen, row, 1)[0] for row in rows]
-               for pen in (penalty, PenaltyParams(variant="scalar", value=reference.value))]
+               for pen in (penalty, by_reference)]
     assert decoded[0] == decoded[1]
 
 
@@ -604,14 +605,16 @@ def test_penalty_params_round_trip():
 
 def test_penalty_params_validation():
     with pytest.raises(ValidationError):
-        PenaltyParams(variant="scalar", value=float("nan"))
+        PenaltyParams(variant="per-position", values=(float("nan"),))
+    with pytest.raises(ValidationError, match="unknown penalty variant"):
+        PenaltyParams(variant="scalar", values=(0.2,))  # only from_dict reads the old form
     with pytest.raises(ValidationError):
         PenaltyParams(variant="per-position", values=())
     with pytest.raises(ValidationError):
         PenaltyParams(variant="bogus")
 
 
-@pytest.mark.parametrize("params", [PenaltyParams(variant="scalar", value=0.2),
+@pytest.mark.parametrize("params", [PenaltyParams(variant="per-position", values=(0.2,)),
                                     PenaltyParams(variant="per-position", values=(0.1, 0.2, 0.3)),
                                     PenaltyParams(variant="learned")])
 def test_penalty_params_refuse_a_position_below_one(params):

@@ -202,7 +202,9 @@ def test_load_multilabel_scene_shape(tmp_path):
     ("1 0:0.5\n0 0:1 0:3\n", {}, "2: repeated feature index 0"),
     ("1 0:0.5\n\n0 3:1.0\n", {"n_features": 2}, "3: feature index 3 exceeds dimension 2"),
     ("1 0:0.5\n\n2,7 1:1.0\n", {"universe": 3}, "3: label 7 outside universe 3"),
-], ids=["repeated-index", "index-past-dimension", "label-outside-universe"])
+    ("1,2 0:1.0 1:nan\n", {}, "1: non-finite feature '1:nan'"),
+    ("1 0:0.5\n\n0 0:-inf\n", {}, "3: non-finite feature '0:-inf'"),
+], ids=["repeated-index", "index-past-dimension", "label-outside-universe", "nan", "inf"])
 def test_load_multilabel_refuses_a_sample_on_its_line(tmp_path, text, sizes, message):
     path = tmp_path / "ml.txt"
     path.write_text(text)
