@@ -133,24 +133,20 @@ class RunConfig:
         return json_hash(asdict(self))
 
 
-def _check_rule(task: str, dataset: Dataset, sample) -> None:
-    """Refuse a sample of the task's set kind whose targets differ from its synthetic rule."""
-    if (task in tasks.SYNTHETIC_TASKS and dataset.kind == TASKS[task][0]
-            and sample.y != tasks.targets(task, sample.x)):
-        raise ValidationError(f"targets differ from the {task} rule")
-
-
-def _check_kind(cfg: RunConfig, dataset: Dataset, source: str, rule: bool = True) -> None:
-    """Refuse a dataset of another set kind than its task; with ``rule``, then by
-    index the first sample :func:`_check_rule` refuses."""
+def _load_checked(cfg: RunConfig, path: str) -> Dataset:
+    """The dataset file at ``path``; refused whole if of another set kind than the
+    task, and on its line a sample whose targets break the task's synthetic rule."""
     kind = TASKS[cfg.task][0]
+
+    def rule(dataset: Dataset, sample) -> None:
+        if (cfg.task in tasks.SYNTHETIC_TASKS and dataset.kind == kind
+                and sample.y != tasks.targets(cfg.task, sample.x)):
+            raise ValidationError(f"targets differ from the {cfg.task} rule")
+
+    dataset = load_dataset(path, check=rule)
     if dataset.kind != kind:
-        raise ValidationError(f"task {cfg.task!r} needs {kind}, {source} holds {dataset.kind}")
-    for i, s in enumerate(dataset.samples if rule else ()):
-        try:
-            _check_rule(cfg.task, dataset, s)
-        except ValidationError as exc:
-            raise ValidationError(f"{source}: sample {i}: {exc}") from exc
+        raise ValidationError(f"task {cfg.task!r} needs {kind}, {path} holds {dataset.kind}")
+    return dataset
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -210,10 +206,9 @@ def train_run(cfg: RunConfig, dataset: Dataset | None = None, out: str | None = 
     """
     if out:
         _refuse_written(out, "config.json")
-    if source:  # a file's samples are held to the task's rule line by line
-        dataset = load_dataset(source, check=lambda d, s: _check_rule(cfg.task, d, s))
+    if source:
+        dataset = _load_checked(cfg, source)
     dataset = dataset if dataset is not None else _build_dataset(cfg)
-    _check_kind(cfg, dataset, source or "the dataset", rule=not source)
     cfg = replace(cfg, n=len(dataset))
     train_ds, test_ds = tasks.split_train_test(dataset, cfg.split, cfg.seed)
     config = asdict(cfg)
@@ -241,8 +236,7 @@ def train_run(cfg: RunConfig, dataset: Dataset | None = None, out: str | None = 
     elif kind == "learned":
         gate, art.gate_examples = _fit_gate(cfg, gate_variant, art.base_model, train_ds,
                                             report, gate_examples)
-        penalty = PenaltyParams(variant="learned", classifier=gate,
-                                classifier_ref=GATE_FILE if out else None)  # _persist_run's
+        penalty = PenaltyParams(variant="learned", classifier=gate)
     if kind is not None:
         art.penalty = replace(penalty, model_hash=content_hash(art.base_model))
         report["penalty"] = art.penalty.to_dict()
@@ -362,8 +356,7 @@ def load_run(run_dir: str) -> RunArtifacts:
         if hashlib.sha256(Path(ref_path).read_bytes()).hexdigest() != sha256:
             raise ValidationError(f"{ref_path}: bytes differ from the sha256 in {config}")
     path = lambda name: refs[name][0] if name in refs else os.path.join(run_dir, name)
-    dataset = load_dataset(path("dataset.jsonl"), check=lambda d, s: _check_rule(cfg.task, d, s))
-    _check_kind(cfg, dataset, path("dataset.jsonl"), rule=False)
+    dataset = _load_checked(cfg, path("dataset.jsonl"))
     train_ds, test_ds = tasks.split_train_test(dataset, cfg.split, cfg.seed)
     art = RunArtifacts(cfg=cfg, dataset=dataset, train_split=train_ds, test_split=test_ds,
                        config_hash=config_hash)
@@ -379,12 +372,8 @@ def load_run(run_dir: str) -> RunArtifacts:
                               f"{kind!r} penalty, the file holds {art.penalty.variant!r}")
     if art.penalty.model_hash is None:  # every train_run writes one
         raise ValidationError(f"{path('penalty.json')}: names no model_hash to bind it to")
-    if kind == "learned":
-        if not art.penalty.classifier_ref:
-            raise ValidationError(f"{path('penalty.json')}: the learned penalty names no "
-                                  "classifier_ref")
-        art.penalty.classifier = _load_model(path(art.penalty.classifier_ref),
-                                             f"lambda-{gate_variant}")
+    if kind == "learned":  # an older penalty.json's classifier_ref named this same file
+        art.penalty.classifier = _load_model(path(GATE_FILE), f"lambda-{gate_variant}")
     return art
 
 

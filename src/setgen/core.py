@@ -38,9 +38,24 @@ def json_hash(doc: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _digits(s) -> TokenSeq:
+    """The tokens of a string of the ASCII digits 0-9; ``int`` reads other scripts' too."""
+    if not isinstance(s, str) or not set(s) <= set("0123456789"):
+        raise ValidationError(f"{s!r} is not a string of the digits 0-9")
+    return tuple(map(int, s))
+
+
+def _typed(value, types, what: str):
+    """``value`` if it is a JSON value of ``types``; ``bool``, an ``int`` subclass, is not."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        noun = "an integer" if types is int else "a number"
+        raise ValidationError(f"{what} {value!r} is not {noun}")
+    return value
+
+
 def seq_from_str(s: str, vocab: int) -> TokenSeq:
     """Encode a digit string as a complete token sequence (end token appended)."""
-    tokens = tuple(int(ch) for ch in s)
+    tokens = _digits(s)
     if any(t >= vocab - 1 for t in tokens):
         raise ValidationError(f"token out of range for vocab {vocab}: {s!r}")
     return tokens + (vocab - 1,)
@@ -169,6 +184,7 @@ def flatten(dataset: Dataset) -> list[FlatPair]:
 #   labels:     {"x": [f64, ...], "y": [int, ...]}
 #   sequences:  {"x": "digitstring", "y": ["tokenstring", ...]}
 # Sequence target strings omit the end marker; it is re-appended on load.
+# Nothing is coerced: an int is a JSON integer, not a bool; digits are ASCII 0-9.
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:
@@ -203,9 +219,9 @@ def load_dataset(path: str, check=None) -> Dataset:
     try:  # a JSON syntax error is a ValueError too
         header = dict(json.loads(head))
         kind = header.get("kind")
-        spec = Dataset(kind=kind, samples=(), universe=int(header.get("universe", 0)),
-                       max_len=int(header.get("max_len", 0)),
-                       input_vocab=int(header.get("input_vocab", 10)) if kind == "sequences" else 0)
+        size = lambda key, default=0: _typed(header.get(key, default), int, key)
+        spec = Dataset(kind=kind, samples=(), universe=size("universe"), max_len=size("max_len"),
+                       input_vocab=size("input_vocab", 10) if kind == "sequences" else 0)
     except ValidationError as exc:
         raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -216,23 +232,21 @@ def load_dataset(path: str, check=None) -> Dataset:
         try:
             row = json.loads(ln)
             if kind == "labels":
-                x = tuple(float(v) for v in row["x"])
-                y = tuple(int(v) for v in row["y"])
+                x = tuple(float(_typed(v, (int, float), "input value")) for v in row["x"])
+                y = tuple(_typed(v, int, "label") for v in row["y"])
+                if not samples:  # the first row sets the input width
+                    spec = replace(spec, input_dim=len(x))
             else:
-                x = tuple(int(ch) for ch in row["x"])
-                y = tuple(seq_from_str(s, spec.universe) for s in row["y"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(
-                f"{path}:{lineno}: malformed sample ({type(exc).__name__}: {exc})") from exc
-        if kind == "labels" and not samples:  # the first row sets the input width
-            spec = replace(spec, input_dim=len(x))
-        samples.append(SetSample(x=x, y=y))
-        try:
+                x, y = _digits(row["x"]), tuple(seq_from_str(s, spec.universe) for s in row["y"])
             if not all(map(math.isfinite, x)):  # json reads NaN and Infinity
                 raise ValidationError("non-finite input value")
+            samples.append(SetSample(x=x, y=y))
             spec.check_sample(samples[-1])
             if check is not None:
                 check(spec, samples[-1])
         except ValidationError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"{path}:{lineno}: malformed sample ({type(exc).__name__}: {exc})") from exc
     return replace(spec, samples=tuple(samples))

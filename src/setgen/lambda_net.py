@@ -1,4 +1,4 @@
-"""Learned replacement for scalar penalties: a binary gate over base-model logits.
+"""Learned replacement for the per-position penalty: a binary gate over base-model logits.
 
 At each decode position the base model scores every vocabulary token; the
 gate labels each token emit (positive) or suppress (negative).  Two variants:

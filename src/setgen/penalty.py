@@ -153,14 +153,13 @@ class PenaltyParams:
     one position, so one value); ``learned`` delegates to a classifier object
     exposing ``classify(logits, position_id, prefix=None) -> frozenset[int]``.
     ``model_hash`` records the base-model checkpoint the calibration ran
-    against; decoding refuses a mismatch unless overridden.
+    against; decoding refuses a mismatch.
     """
 
     variant: str  # "per-position" | "learned"
     values: tuple[float, ...] | None = None
     solutions: tuple[LambdaSolution, ...] = ()
     classifier: object | None = None
-    classifier_ref: str | None = None
     model_hash: str | None = None
 
     def __post_init__(self) -> None:
@@ -169,9 +168,8 @@ class PenaltyParams:
         if self.variant == "per-position" and (
                 not self.values or any(not np.isfinite(v) for v in self.values)):
             raise ValidationError("per-position penalty requires finite values")
-        if not all(ref is None or isinstance(ref, str)
-                   for ref in (self.classifier_ref, self.model_hash)):
-            raise ValidationError("classifier_ref and model_hash must be strings")
+        if not (self.model_hash is None or isinstance(self.model_hash, str)):
+            raise ValidationError("model_hash must be a string")
 
     def position_value(self, position: int) -> float:
         """Penalty for 1-based output position; positions past the table reuse the last."""
@@ -186,7 +184,6 @@ class PenaltyParams:
             "variant": self.variant,
             "values": list(self.values) if self.values is not None else None,
             "feasibility": [s.to_dict() for s in self.solutions],
-            "classifier_ref": self.classifier_ref,
             "model_hash": self.model_hash,
         }
 
@@ -209,7 +206,6 @@ class PenaltyParams:
             variant=variant,
             values=tuple(map(float, values)) if values is not None else None,
             solutions=sols,
-            classifier_ref=doc.get("classifier_ref"),
             model_hash=doc.get("model_hash"),
         )
 

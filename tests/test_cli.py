@@ -145,6 +145,17 @@ def test_a_penalty_file_in_the_scalar_form_evaluates_as_its_per_position_form(tm
         assert read(tmp_path / "e-old" / name) == read(tmp_path / "e-new" / name)
 
 
+def test_a_learned_penalty_file_naming_its_gate_evaluates_as_without_the_name(tmp_path):
+    # older versions named the gate's file, always gate.json, in penalty.json
+    run = _run_of(tmp_path, "learned-windowed")
+    eval_run(load_run(str(run)), out=str(tmp_path / "e-new"))
+    doc = json.loads(read(run / "penalty.json"))
+    (run / "penalty.json").write_text(json.dumps({**doc, "classifier_ref": "gate.json"}))
+    eval_run(load_run(str(run)), out=str(tmp_path / "e-old"))
+    for name in ("decode_report.jsonl", "eval_report.json"):
+        assert read(tmp_path / "e-old" / name) == read(tmp_path / "e-new" / name)
+
+
 def test_train_per_position_reports_value_per_position(tmp_path):
     cfg = RunConfig(task="task2", variant="per-position", n=30, epochs=2, seed=1)
     out = tmp_path / "run"
@@ -163,7 +174,7 @@ def test_train_learned_windowed_writes_gate_and_accuracy(tmp_path):
     report = json.loads(read(out / "train_report.json"))
     assert 0.0 <= report["gate_validation_accuracy"] <= 1.0
     pen = json.loads(read(out / "penalty.json"))
-    assert pen["variant"] == "learned" and pen["classifier_ref"] == "gate.json"
+    assert pen["variant"] == "learned" and "classifier_ref" not in pen
     assert pen["model_hash"]
     assert report["penalty"] == pen
 
@@ -572,6 +583,21 @@ def test_train_refuses_label_rows_of_different_widths(tmp_path, capsys):
                  "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {path}:3: ") and "width" in err[0]
+
+
+def test_train_refuses_a_mistyped_label_row(tmp_path, capsys):
+    assert main(["gen", "--task", "threshold", "--n", "5", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "threshold.jsonl"
+    lines = read(path).splitlines()
+    row = json.loads(lines[2])
+    lines[2] = json.dumps({**row, "y": [float(v) for v in row["y"]]})  # label 7 as 7.0
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["train", "--task", "threshold", "--variant", "scalar", "--epochs", "1",
+                 "--dataset", str(path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}:3: label ")
+    assert err[0].endswith(" is not an integer")
 
 
 @pytest.mark.parametrize("task, variant, held", [("task1", "baseline", "threshold"),

@@ -146,6 +146,7 @@ def test_dataset_file_round_trip_keeps_input_vocab(tmp_path):
 
 
 LABEL_HEADER = '{"kind": "labels", "max_len": 0, "universe": 3}\n'
+SEQUENCE_HEADER = '{"input_vocab": 10, "kind": "sequences", "max_len": 5, "universe": 11}\n'
 
 
 @pytest.mark.parametrize("text, message", [
@@ -160,10 +161,31 @@ LABEL_HEADER = '{"kind": "labels", "max_len": 0, "universe": 3}\n'
     (LABEL_HEADER + '{"x": [1.0], "y": [1]}\n\n{"x": [NaN], "y": [2]}\n',
      "4: non-finite input value"),
     (LABEL_HEADER + '{"x": [-Infinity], "y": [1]}\n', "2: non-finite input value"),
-], ids=["blank-lines", "label-outside-universe", "header", "nan", "infinity"])
+    # no value of the wrong JSON type is coerced
+    (LABEL_HEADER + '{"x": [1.0], "y": [1.7]}\n', "2: label 1.7 is not an integer"),
+    (LABEL_HEADER + '{"x": [1.0], "y": [false]}\n', "2: label False is not an integer"),
+    (LABEL_HEADER + '{"x": [1.0], "y": ["2"]}\n', "2: label '2' is not an integer"),
+    (LABEL_HEADER + '{"x": [true, 2.5], "y": [1]}\n', "2: input value True is not a number"),
+    (LABEL_HEADER + '{"x": [1.0, "2.5"], "y": [1]}\n', "2: input value '2.5' is not a number"),
+    ('{"kind": "labels", "max_len": 0, "universe": 11.9}\n{"x": [1.0], "y": [1]}\n',
+     "1: universe 11.9 is not an integer"),
+    ('{"input_vocab": 10, "kind": "sequences", "max_len": true, "universe": 11}\n'
+     '{"x": "3", "y": [""]}\n', "1: max_len True is not an integer"),
+    ('{"input_vocab": "10", "kind": "sequences", "max_len": 5, "universe": 11}\n'
+     '{"x": "3", "y": ["2"]}\n', "1: input_vocab '10' is not an integer"),
+    (SEQUENCE_HEADER + '{"x": "31", "y": ["2"]}\n{"x": [3, 1], "y": ["2"]}\n',
+     "3: [3, 1] is not a string of the digits 0-9"),
+    (SEQUENCE_HEADER + '{"x": "31", "y": [[3]]}\n', "2: [3] is not a string of the digits 0-9"),
+    # int() reads the digits of other scripts: Arabic-Indic three and one
+    (SEQUENCE_HEADER + '{"x": "\u0663\u0661", "y": ["2"]}\n',
+     "2: '\u0663\u0661' is not a string of the digits 0-9"),
+], ids=["blank-lines", "label-outside-universe", "header", "nan", "infinity",
+        "label-float", "label-bool", "label-string", "feature-bool", "feature-string",
+        "universe-float", "max-len-bool", "input-vocab-string", "x-list", "y-list",
+        "x-arabic-indic"])
 def test_load_dataset_names_the_files_own_line(tmp_path, text, message):
     path = tmp_path / "d.jsonl"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(ValidationError) as exc:
         load_dataset(str(path))
     assert str(exc.value) == f"{path}:{message}"

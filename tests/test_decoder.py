@@ -332,6 +332,18 @@ def test_sequence_decode_branch_cap_reports_drops():
     assert res.sequences == frozenset()
 
 
+def test_sequence_decode_reports_an_overlong_branch_without_drops():
+    class EmitOneDigit:
+        def classify(self, logits, position, prefix=None):
+            return frozenset({3})  # one digit at every position, never the end token
+
+    penalty = PenaltyParams(variant="learned", classifier=EmitOneDigit())
+    res = decode_sequence_set(stub_sequence_model(), penalty, (1,))
+    assert res.truncated
+    assert res.dropped_branches == 0 and res.dead_ends == 0
+    assert res.sequences == frozenset()
+
+
 class CountingStepper(PrefixStepper):
     """Flat scores over a dataset's targets; counts its decoder steps."""
 
