@@ -37,7 +37,7 @@ from .core import (
     save_dataset,
     seq_to_str,
 )
-from .decoder import decode_sequence_set, position_tokens, verify_penalty_binding
+from .decoder import decode_sequence_set, position_tokens
 from .lambda_net import (
     LambdaNet,
     build_lambda_training_set,
@@ -348,7 +348,9 @@ def load_run(run_dir: str) -> RunArtifacts:
     Files are read from ``run_dir``, or where ``config.json``'s ``refs`` points.  Refuses a
     missing or malformed file, a referenced one whose bytes differ from its SHA-256, a
     dataset of another kind than the task or that breaks its rule, a model of another family
-    than the dataset, and a penalty of another kind than the variant or naming no model_hash.
+    than the dataset, and a penalty of another kind than the variant or whose model_hash is
+    not the base model's checkpoint hash.  This is where a penalty is held to its base model:
+    ``train_run`` binds the two by construction, so decoding does not check them again.
     """
     config = os.path.join(run_dir, "config.json")
     cfg, config_hash, refs = _read_run_file(config, lambda doc: _run_config(doc, run_dir))
@@ -370,8 +372,9 @@ def load_run(run_dir: str) -> RunArtifacts:
     if art.penalty.variant != kind:
         raise ValidationError(f"{path('penalty.json')}: variant {cfg.variant!r} needs a "
                               f"{kind!r} penalty, the file holds {art.penalty.variant!r}")
-    if art.penalty.model_hash is None:  # every train_run writes one
-        raise ValidationError(f"{path('penalty.json')}: names no model_hash to bind it to")
+    if art.penalty.model_hash != content_hash(art.base_model):  # None fails it too
+        raise ValidationError(f"{path('penalty.json')}: model_hash is not the hash of "
+                              f"the run's base model, which the penalty was calibrated for")
     if kind == "learned":  # an older penalty.json's classifier_ref named this same file
         art.penalty.classifier = _load_model(path(GATE_FILE), f"lambda-{gate_variant}")
     return art
@@ -422,8 +425,6 @@ def eval_run(art: RunArtifacts, out: str | None = None,
     ds = art.test_split
     if metric == "mED" and ds.kind == "labels":
         raise ValidationError("mED scores sequence sets; score a label-set run with mF1")
-    if art.penalty is not None:
-        verify_penalty_binding(art.base_model, art.penalty)
     results = [_predict_sample(art, s) for s in ds.samples]
     preds = [r[0] for r in results]
     if ds.kind == "labels":

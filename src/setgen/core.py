@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 TokenSeq = tuple[int, ...]
-Input = Union[tuple[float, ...], tuple[int, ...], str]
+Input = Union[tuple[float, ...], tuple[int, ...]]
 
 
 class ValidationError(ValueError):
@@ -50,6 +50,14 @@ def _typed(value, types, what: str):
     if isinstance(value, bool) or not isinstance(value, types):
         noun = "an integer" if types is int else "a number"
         raise ValidationError(f"{what} {value!r} is not {noun}")
+    return value
+
+
+def _array(row: dict, key: str) -> list:
+    """A row's ``key``, refused unless it is a JSON array (a string or object iterates too)."""
+    value = row[key]
+    if not isinstance(value, list):
+        raise ValidationError(f"{key!r} {value!r} is not an array")
     return value
 
 
@@ -184,7 +192,8 @@ def flatten(dataset: Dataset) -> list[FlatPair]:
 #   labels:     {"x": [f64, ...], "y": [int, ...]}
 #   sequences:  {"x": "digitstring", "y": ["tokenstring", ...]}
 # Sequence target strings omit the end marker; it is re-appended on load.
-# Nothing is coerced: an int is a JSON integer, not a bool; digits are ASCII 0-9.
+# Nothing is coerced: "y" is an array, and so is a label row's "x"; an int is a
+# JSON integer, not a bool; digits are ASCII 0-9.
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:
@@ -232,12 +241,14 @@ def load_dataset(path: str, check=None) -> Dataset:
         try:
             row = json.loads(ln)
             if kind == "labels":
-                x = tuple(float(_typed(v, (int, float), "input value")) for v in row["x"])
-                y = tuple(_typed(v, int, "label") for v in row["y"])
+                x = tuple(float(_typed(v, (int, float), "input value"))
+                          for v in _array(row, "x"))
+                y = tuple(_typed(v, int, "label") for v in _array(row, "y"))
                 if not samples:  # the first row sets the input width
                     spec = replace(spec, input_dim=len(x))
             else:
-                x, y = _digits(row["x"]), tuple(seq_from_str(s, spec.universe) for s in row["y"])
+                x = _digits(row["x"])
+                y = tuple(seq_from_str(s, spec.universe) for s in _array(row, "y"))
             if not all(map(math.isfinite, x)):  # json reads NaN and Infinity
                 raise ValidationError("non-finite input value")
             samples.append(SetSample(x=x, y=y))

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import nn
 from .core import TokenSeq, ValidationError
-from .models import DecoderSession, content_hash
+from .models import DecoderSession
 from .penalty import PenaltyParams
 
 
@@ -93,18 +93,6 @@ class SequenceDecodeResult:
     dropped_branches: int
 
 
-def verify_penalty_binding(model, penalty: PenaltyParams) -> None:
-    """Refuse to decode with a penalty calibrated against a different model."""
-    if penalty.model_hash is None:
-        return
-    actual = content_hash(model)
-    if actual != penalty.model_hash:
-        raise ValidationError(
-            "penalty was calibrated against a different model checkpoint "
-            f"({penalty.model_hash[:12]}... vs {actual[:12]}...)"
-        )
-
-
 def position_tokens(penalty: PenaltyParams, logits: np.ndarray, position: int,
                     prefix: TokenSeq = (), rho: float = 0.0):
     """The tokens one output position emits from the base model's scores there.
@@ -136,7 +124,6 @@ def decode_sequence_set(model, penalty: PenaltyParams, x, rho: float = 0.0,
         raise ValidationError("learned penalty has no classifier attached")
     if max_branches < 1:
         raise ValidationError("max_branches must be at least 1")
-    verify_penalty_binding(model, penalty)
     max_len = model.max_len
     eos = model.eos
     session = DecoderSession(model, x)

@@ -94,12 +94,8 @@ def from_checkpoint(doc: dict):
 
 
 def content_hash(model) -> str:
-    """Checkpoint hash of a model, cached on the instance until it is refit."""
-    cached = getattr(model, "_content_hash", None)
-    if cached is None:
-        cached = json_hash(checkpoint(model))
-        model._content_hash = cached
-    return cached
+    """Checkpoint hash of a model."""
+    return json_hash(checkpoint(model))
 
 
 def save_checkpoint(model, path: str) -> None:
@@ -435,7 +431,6 @@ def _run_epochs(model, batches_of, n_items: int, cfg: TrainConfig,
             epoch_loss += loss
             n_batches += 1
         model.train_losses.append(epoch_loss / max(n_batches, 1))
-    model._content_hash = None  # params changed; any cached checkpoint hash is stale
     return model
 
 

@@ -31,18 +31,13 @@ def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     return ez / ez.sum(axis=axis, keepdims=True)
 
 
-def log_softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = z - z.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-
 def picked_log_softmax(logits: np.ndarray, targets: np.ndarray):
     """Each row's log-probability of its target, and the row-wise softmax.
 
     ``logits`` is (N, V) and ``targets`` holds one class index per row.  One
-    shift, exp and row sum serve both outputs, which equal
-    ``log_softmax(logits, axis=1)[rows, targets]`` and
-    ``softmax(logits, axis=1)`` bit for bit.
+    shift, exp and row sum serve both outputs, which equal bit for bit each
+    row's log-softmax at its target, ``shifted - log(sum(exp(shifted)))`` with
+    ``shifted`` the row less its max, and ``softmax(logits, axis=1)``.
     """
     shifted = logits - logits.max(axis=1, keepdims=True)
     ez = np.exp(shifted)

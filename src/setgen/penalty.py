@@ -153,7 +153,7 @@ class PenaltyParams:
     one position, so one value); ``learned`` delegates to a classifier object
     exposing ``classify(logits, position_id, prefix=None) -> frozenset[int]``.
     ``model_hash`` records the base-model checkpoint the calibration ran
-    against; decoding refuses a mismatch.
+    against; reading a run refuses a mismatch.
     """
 
     variant: str  # "per-position" | "learned"

@@ -560,6 +560,17 @@ def test_eval_refuses_a_penalty_that_names_no_model_hash(tmp_path, capsys, edit)
     assert "penalty.json" in err and "model_hash" in err
 
 
+@pytest.mark.parametrize("variant", ["scalar", "learned-windowed"])
+def test_eval_refuses_a_penalty_bound_to_another_model(tmp_path, capsys, variant):
+    run = _run_of(tmp_path, variant)
+    doc = json.loads(read(run / "penalty.json"))
+    doc["model_hash"] = "0" * 64  # a well-formed hash, of no model in the run
+    (run / "penalty.json").write_text(json.dumps(doc))
+    err = _eval_error(tmp_path, capsys, run)
+    assert "penalty.json" in err and "model_hash" in err
+    assert not (tmp_path / "e").exists()
+
+
 def test_train_refuses_a_dataset_row_without_x(tmp_path, capsys):
     assert main(["gen", "--task", "threshold", "--n", "5", "--out", str(tmp_path)]) == 0
     path = tmp_path / "threshold.jsonl"
@@ -569,6 +580,36 @@ def test_train_refuses_a_dataset_row_without_x(tmp_path, capsys):
                  "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {path}:2: ")
+
+
+@pytest.mark.parametrize("task, row", [
+    ("task2", {"x": "31", "y": "12"}),  # a string iterates as one target per digit
+    ("task2", {"x": "31", "y": {"4": 1}}),  # an object iterates as its keys
+    ("threshold", {"x": {}, "y": [3]}),
+    ("threshold", {"x": [0.5], "y": {}}),
+    ("threshold", {"x": [0.5], "y": {"3": 1}}),
+], ids=["seq-y-string", "seq-y-object", "label-x-object", "label-y-empty-object",
+        "label-y-object"])
+@pytest.mark.parametrize("reader", ["load_dataset", "train"])
+def test_a_row_whose_y_or_label_x_is_not_an_array_is_refused_on_its_line(tmp_path, capsys,
+                                                                         reader, task, row):
+    assert main(["gen", "--task", task, "--n", "5", "--out", str(tmp_path)]) == 0
+    path = tmp_path / f"{task}.jsonl"
+    lines = read(path).splitlines()
+    lines[1] = json.dumps(row)
+    path.write_text("\n".join(lines) + "\n")
+    if reader == "load_dataset":
+        with pytest.raises(ValidationError, match="is not an array") as exc:
+            load_dataset(str(path))
+        assert str(exc.value).startswith(f"{path}:2: ")
+        return
+    variant = "scalar" if task == "threshold" else "per-position"
+    capsys.readouterr()
+    assert main(["train", "--task", task, "--variant", variant, "--epochs", "1",
+                 "--dataset", str(path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}:2: ")
+    assert "is not an array" in err[0]
 
 
 def test_train_refuses_label_rows_of_different_widths(tmp_path, capsys):

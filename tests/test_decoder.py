@@ -10,7 +10,6 @@ from setgen.decoder import (
     decode_set,
     penalized_argmax,
     position_tokens,
-    verify_penalty_binding,
 )
 from setgen.models import SequenceModel
 from setgen.penalty import (
@@ -375,11 +374,3 @@ def test_sequence_decode_determinism():
     a = decode_sequence_set(model, oracle_penalty(targets), x)
     b = decode_sequence_set(model, oracle_penalty(targets), x)
     assert a == b
-
-
-def test_penalty_binding_refuses_mismatched_hash():
-    model = stub_sequence_model()
-    penalty = PenaltyParams(variant="learned", classifier=PositiveTokenOracle([], 11),
-                            model_hash="0" * 64)
-    with pytest.raises(ValidationError, match="different model"):
-        verify_penalty_binding(model, penalty)
