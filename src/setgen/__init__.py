@@ -29,7 +29,6 @@ from .models import (
     MultiLabelBaseline,
     SequenceModel,
     TrainConfig,
-    gradient_check,
     train_label_model,
     train_multilabel_baseline,
     train_sequence_model,

@@ -17,6 +17,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import operator
 import os
 import sys
@@ -32,7 +33,6 @@ from .core import (
     TrainingError,
     ValidationError,
     flatten,
-    json_hash,
     load_dataset,
     save_dataset,
     seq_to_str,
@@ -46,7 +46,7 @@ from .lambda_net import (
 )
 from .models import (
     TrainConfig,
-    content_hash,
+    checkpoint,
     load_checkpoint,
     save_checkpoint,
     train_label_model,
@@ -82,6 +82,29 @@ GATE_FILE = "gate.json"  # the learned penalty's classifier, beside penalty.json
 _FIELD_TYPES = {"int": int, "float": (int, float), "str": str}  # RunConfig's annotations
 
 
+# --- run hashes -------------------------------------------------------------------
+#
+# A run's ``config_hash`` hashes its config, which holds ``dataset_hash``, the
+# hash of the loaded dataset, when the samples come from a file; a penalty's
+# ``model_hash`` hashes its base model's checkpoint; and a ref into a
+# reproduce tree's ``base/`` holds the SHA-256 of the file's bytes.
+
+
+def json_hash(doc: dict) -> str:
+    """SHA-256 of a JSON document in canonical form (sorted keys, no whitespace)."""
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def content_hash(model) -> str:
+    """The hash of a model's checkpoint document: a penalty's ``model_hash``."""
+    return json_hash(checkpoint(model))
+
+
+def _file_hash(path: str) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Flat, fully serialized description of one train/eval run.
@@ -112,8 +135,8 @@ class RunConfig:
             raise ValidationError("seed must be non-negative")
         if self.n < 1 or self.epochs < 1:
             raise ValidationError("sample count and epochs must be at least 1")
-        if not self.learning_rate > 0:
-            raise ValidationError("learning rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValidationError("learning rate must be finite and positive")
         if self.task not in TASKS:
             raise ValidationError(f"unknown task {self.task!r}")
         if self.variant not in VARIANTS:
@@ -293,7 +316,7 @@ def _persist_run(art: RunArtifacts, out: str, base: str | None = None) -> None:
         if not os.path.exists(path):
             save(path)
         refs[name] = {"path": os.path.relpath(path, out),
-                      "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
+                      "sha256": _file_hash(path)}
     _write_json(os.path.join(out, "config.json"), {
         "version": __version__,
         "config": art.report["config"],
@@ -355,7 +378,7 @@ def load_run(run_dir: str) -> RunArtifacts:
     config = os.path.join(run_dir, "config.json")
     cfg, config_hash, refs = _read_run_file(config, lambda doc: _run_config(doc, run_dir))
     for ref_path, sha256 in refs.values():
-        if hashlib.sha256(Path(ref_path).read_bytes()).hexdigest() != sha256:
+        if _file_hash(ref_path) != sha256:
             raise ValidationError(f"{ref_path}: bytes differ from the sha256 in {config}")
     path = lambda name: refs[name][0] if name in refs else os.path.join(run_dir, name)
     dataset = _load_checked(cfg, path("dataset.jsonl"))

@@ -14,7 +14,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
@@ -30,12 +29,6 @@ class ValidationError(ValueError):
 
 class TrainingError(RuntimeError):
     """Training diverged or was handed degenerate data."""
-
-
-def json_hash(doc: dict) -> str:
-    """SHA-256 of a JSON document in canonical form (sorted keys, no whitespace)."""
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
 
 
 def _digits(s) -> TokenSeq:

@@ -107,8 +107,8 @@ class LambdaNet:
             raise ValidationError(f"unknown gate variant {variant!r}")
         if not 0.0 < threshold < 1.0:
             raise ValidationError("decision threshold must lie in (0, 1)")
-        if not pos_weight > 0.0:
-            raise ValidationError("positive-class weight must be positive")
+        if not 0.0 < pos_weight < np.inf:  # a checkpoint's JSON may hold Infinity
+            raise ValidationError("positive-class weight must be positive and finite")
         self.variant = variant
         self.vocab = int(vocab)
         self.max_len = int(max_len)

@@ -11,8 +11,8 @@ Three families:
   bridge, gated recurrent decoder, softmax projection; trained with teacher
   forcing.
 
-All gradients are hand-derived; :func:`gradient_check` compares them against
-central finite differences and is run over every family in the test suite.
+All gradients are hand-derived; the test suite checks every family's
+against central finite differences.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .core import FlatPair, Dataset, TokenSeq, TrainingError, ValidationError, json_hash
+from .core import FlatPair, Dataset, TokenSeq, TrainingError, ValidationError
 
 CHECKPOINT_VERSION = 1
 
@@ -40,8 +40,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0 or self.batch_size <= 0 or self.epochs <= 0:
-            raise ValidationError("learning rate, batch size, and epochs must be positive")
+        if not 0 < self.learning_rate < math.inf or self.batch_size <= 0 or self.epochs <= 0:
+            raise ValidationError("learning rate, batch size, and epochs must be finite "
+                                  "and positive")
 
 
 # --- checkpoints ---------------------------------------------------------------
@@ -85,17 +86,14 @@ def from_checkpoint(doc: dict):
             if flat.size != init.size:
                 raise ValidationError(f"checkpoint parameter {name!r} holds {flat.size} "
                                       f"values, expected {init.size}")
+            if not np.isfinite(flat).all():  # json reads NaN and Infinity
+                raise ValidationError(f"checkpoint parameter {name!r} holds a non-finite value")
             model.params[name] = flat.reshape(init.shape)
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed checkpoint ({type(exc).__name__}: {exc})") from exc
     return model
-
-
-def content_hash(model) -> str:
-    """Checkpoint hash of a model."""
-    return json_hash(checkpoint(model))
 
 
 def save_checkpoint(model, path: str) -> None:
@@ -490,33 +488,3 @@ def train_sequence_model(flat: list[FlatPair], cfg: TrainConfig, *,
     rng = np.random.default_rng(cfg.seed)
     model = SequenceModel(input_vocab, vocab, max_len, **arch, seed=cfg.seed)
     return _run_epochs(model, lambda idx: [pairs[i] for i in idx], len(pairs), cfg, rng)
-
-
-# --- finite-difference oracle ------------------------------------------------------
-
-
-def gradient_check(model, batch, eps: float = 1e-4) -> float:
-    """Max relative error between analytic gradients and central differences.
-
-    Perturbs every parameter entry, so keep the model small.  The 1e-8 guard
-    keeps near-zero gradient pairs from dividing away to noise.
-    """
-    if not 1e-6 <= eps <= 1e-3:
-        raise ValidationError("finite-difference step must lie in [1e-6, 1e-3]")
-    _, grads = model.loss_and_grads(batch)
-    worst = 0.0
-    for name, p in model.params.items():
-        g = grads[name]
-        flat = p.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            lo_plus = model.loss_and_grads(batch)[0]
-            flat[i] = orig - eps
-            lo_minus = model.loss_and_grads(batch)[0]
-            flat[i] = orig
-            fd = (lo_plus - lo_minus) / (2.0 * eps)
-            rel = abs(gflat[i] - fd) / max(abs(gflat[i]), abs(fd), 1e-8)
-            worst = max(worst, rel)
-    return worst

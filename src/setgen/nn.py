@@ -3,7 +3,7 @@
 Everything here is float64 and free of hidden state so training runs are
 bit-reproducible under a fixed seed.  Each forward returns the cache its
 backward needs; backward passes are hand-derived and covered by the central
-finite-difference checks in ``models.gradient_check``.
+finite-difference checks in the test suite.
 """
 
 from __future__ import annotations

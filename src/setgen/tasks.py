@@ -154,14 +154,23 @@ def task1_label_view(dataset: Dataset) -> Dataset:
     )
 
 
+def _index(tok: str) -> int:
+    """A label id or feature index: ASCII digits only (``int`` reads other scripts',
+    a sign and ``_`` too)."""
+    if not (tok.isascii() and tok.isdigit()):
+        raise ValueError(tok)
+    return int(tok)
+
+
 def load_multilabel(path: str, n_features: int | None = None,
                     universe: int | None = None) -> Dataset:
     """Parse the sparse multi-label text format.
 
     Each line is ``l1,l2,... i1:v1 i2:v2 ...`` — comma-separated label ids,
-    a space, then sparse feature index:value pairs.  Feature count and label
-    universe default to (max index + 1) over the file; given, each must be
-    at least 1.
+    a space, then sparse feature index:value pairs.  Ids and indices are
+    ASCII digit strings, and values ASCII numbers without ``_``.  Feature
+    count and label universe default to (max index + 1) over the file;
+    given, each must be at least 1.
     """
     if any(size is not None and size < 1 for size in (n_features, universe)):
         raise ValidationError("feature count and label universe must be at least 1")
@@ -177,14 +186,16 @@ def load_multilabel(path: str, n_features: int | None = None,
             if not head or any(not tok for tok in head.split(",")):
                 raise ValidationError(f"{path}:{lineno}: empty label field")
             try:
-                labels = tuple(sorted({int(tok) for tok in head.split(",")}))
+                labels = tuple(sorted({_index(tok) for tok in head.split(",")}))
             except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: bad label field {head!r}") from exc
             feats: dict[int, float] = {}
             for tok in tail.split():
                 idx, _, val = tok.partition(":")
                 try:
-                    i, v = int(idx), float(val)
+                    if not val.isascii() or "_" in val:  # float reads both
+                        raise ValueError(val)
+                    i, v = _index(idx), float(val)
                 except ValueError as exc:
                     raise ValidationError(f"{path}:{lineno}: bad feature {tok!r}") from exc
                 if not np.isfinite(v):
@@ -192,8 +203,6 @@ def load_multilabel(path: str, n_features: int | None = None,
                 if i in feats:
                     raise ValidationError(f"{path}:{lineno}: repeated feature index {i}")
                 feats[i] = v
-            if any(l < 0 for l in labels) or any(i < 0 for i in feats):
-                raise ValidationError(f"{path}:{lineno}: negative index")
             max_feat = max(max_feat, max(feats, default=-1))
             max_label = max(max_label, max(labels))
             rows.append((lineno, labels, feats))

@@ -96,6 +96,33 @@ class PrefixStepper:
         return self.logits(positives), (x, prefix), c
 
 
+def gradient_check(model, batch, eps: float = 1e-4) -> float:
+    """Max relative error between analytic gradients and central differences.
+
+    Perturbs every parameter entry, so keep the model small.  The 1e-8 guard
+    keeps near-zero gradient pairs from dividing away to noise.
+    """
+    if not 1e-6 <= eps <= 1e-3:
+        raise ValidationError("finite-difference step must lie in [1e-6, 1e-3]")
+    _, grads = model.loss_and_grads(batch)
+    worst = 0.0
+    for name, p in model.params.items():
+        g = grads[name]
+        flat = p.reshape(-1)
+        gflat = g.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            lo_plus = model.loss_and_grads(batch)[0]
+            flat[i] = orig - eps
+            lo_minus = model.loss_and_grads(batch)[0]
+            flat[i] = orig
+            fd = (lo_plus - lo_minus) / (2.0 * eps)
+            rel = abs(gflat[i] - fd) / max(abs(gflat[i]), abs(fd), 1e-8)
+            worst = max(worst, rel)
+    return worst
+
+
 def greedy_decode(model, x):
     """Argmax decoding until the end token or max_len."""
     h, c = model.encode(x)

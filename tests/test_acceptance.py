@@ -17,15 +17,10 @@ from setgen.cli import reproduce
 from setgen.decoder import decode_sequence_set, decode_set
 from setgen.lambda_net import LambdaNet
 from setgen.metrics import edit_distance, f1_set, mean_edit_distance
-from setgen.models import (
-    LabelModel,
-    MultiLabelBaseline,
-    SequenceModel,
-    gradient_check,
-)
+from setgen.models import LabelModel, MultiLabelBaseline, SequenceModel
 from setgen.penalty import MarginRecord, PenaltyParams, margin_stats, solve_lambda
 from setgen.tasks import TaskSpec, generate, targets
-from tests.conftest import OracleLabelPosterior, PositiveTokenOracle
+from tests.conftest import OracleLabelPosterior, PositiveTokenOracle, gradient_check
 from tests.test_decoder import Posterior, eq1_decode
 from tests.test_lambda_net import gate_batch, separable_examples
 from tests.test_penalty import grid_solve, objective, random_records

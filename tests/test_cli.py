@@ -18,12 +18,13 @@ from setgen.cli import (
     VARIANTS,
     RunConfig,
     eval_run,
+    json_hash,
     load_run,
     main,
     reproduce,
     train_run,
 )
-from setgen.core import ValidationError, json_hash, load_dataset
+from setgen.core import ValidationError, load_dataset
 from setgen.lambda_net import LambdaNet
 from setgen.metrics import EvalReport
 from setgen.models import load_checkpoint
@@ -571,6 +572,19 @@ def test_eval_refuses_a_penalty_bound_to_another_model(tmp_path, capsys, variant
     assert not (tmp_path / "e").exists()
 
 
+@pytest.mark.parametrize("variant, fname", [("baseline", "baseline.json"),
+                                            ("learned-windowed", "gate.json")])
+def test_eval_refuses_a_non_finite_checkpoint_parameter(tmp_path, capsys, variant, fname):
+    # no model_hash covers these files, so the checkpoint loader is what refuses them
+    run = _run_of(tmp_path, variant)
+    doc = json.loads(read(run / fname))
+    name = sorted(doc["params"])[0]
+    doc["params"][name][0] = float("nan")
+    (run / fname).write_text(json.dumps(doc))
+    err = _eval_error(tmp_path, capsys, run)
+    assert fname in err and repr(name) in err and "non-finite" in err
+
+
 def test_train_refuses_a_dataset_row_without_x(tmp_path, capsys):
     assert main(["gen", "--task", "threshold", "--n", "5", "--out", str(tmp_path)]) == 0
     path = tmp_path / "threshold.jsonl"
@@ -1039,7 +1053,8 @@ def test_run_config_validation():
         RunConfig(task="task2", variant="scalar")
     with pytest.raises(ValidationError, match="not applicable"):
         RunConfig(task="threshold", variant="per-position")
-    for bad in ({"n": 0}, {"epochs": 0}, {"learning_rate": 0.0}):
+    for bad in ({"n": 0}, {"epochs": 0}, {"learning_rate": 0.0},
+                {"learning_rate": float("inf")}, {"learning_rate": float("nan")}):
         with pytest.raises(ValidationError):
             RunConfig(task="threshold", variant="scalar", **bad)
 

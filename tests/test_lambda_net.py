@@ -15,9 +15,9 @@ from setgen.lambda_net import (
     gate_accuracy,
     train_lambda_net,
 )
-from setgen.models import LabelModel, TrainConfig, checkpoint, from_checkpoint, gradient_check
+from setgen.models import LabelModel, TrainConfig, checkpoint, from_checkpoint
 from setgen.penalty import prefix_nodes
-from tests.conftest import PositiveTokenOracle, PrefixStepper
+from tests.conftest import PositiveTokenOracle, PrefixStepper, gradient_check
 from tests.test_penalty import OracleStepper, seq_dataset
 
 VOCAB = 11
@@ -451,6 +451,7 @@ def test_windowed_fit_memory_stays_far_below_its_feature_size():
     ("windowed", {"pos_weight": -3.0}, "must be positive"),
     ("windowed", {"pos_weight": float("nan")}, "must be positive"),
     ("windowed", {"kernel": 6, "radius": 2}, "kernel cannot exceed the window width"),
+    ("windowed", {"pos_weight": float("inf")}, "must be positive and finite"),
 ])
 def test_gate_constructor_refuses_bad_settings(variant, kwargs, match):
     with pytest.raises(ValidationError, match=match):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from setgen import nn
-from setgen.core import (Dataset, FlatPair, SetSample, TrainingError, ValidationError,
-                         json_hash)
+from setgen.cli import json_hash
+from setgen.core import Dataset, FlatPair, SetSample, TrainingError, ValidationError
 from setgen.models import (
     LabelModel,
     MultiLabelBaseline,
@@ -14,7 +14,6 @@ from setgen.models import (
     TrainConfig,
     checkpoint,
     from_checkpoint,
-    gradient_check,
     load_checkpoint,
     save_checkpoint,
     train_label_model,
@@ -22,7 +21,7 @@ from setgen.models import (
     train_sequence_model,
 )
 from setgen.lambda_net import GateExamples, LambdaNet, train_lambda_net
-from tests.conftest import greedy_decode
+from tests.conftest import gradient_check, greedy_decode
 
 
 def log_softmax(z, axis=-1):
@@ -124,6 +123,12 @@ def test_training_is_bit_deterministic():
     for k in m1.params:
         assert np.array_equal(m1.params[k], m2.params[k])
     assert m1.train_losses == m2.train_losses
+
+
+@pytest.mark.parametrize("rate", [0.0, float("inf"), float("nan")])
+def test_train_config_refuses_a_learning_rate_that_is_not_finite_and_positive(rate):
+    with pytest.raises(ValidationError, match="learning rate"):
+        TrainConfig(learning_rate=rate)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",

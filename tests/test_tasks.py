@@ -204,7 +204,15 @@ def test_load_multilabel_scene_shape(tmp_path):
     ("1 0:0.5\n\n2,7 1:1.0\n", {"universe": 3}, "3: label 7 outside universe 3"),
     ("1,2 0:1.0 1:nan\n", {}, "1: non-finite feature '1:nan'"),
     ("1 0:0.5\n\n0 0:-inf\n", {}, "3: non-finite feature '0:-inf'"),
-], ids=["repeated-index", "index-past-dimension", "label-outside-universe", "nan", "inf"])
+    ("1,\u0663 0:1.5\n", {}, "1: bad label field '1,\u0663'"),
+    ("1 0:0.5\n2 1:1_0\n", {}, "2: bad feature '1:1_0'"),
+    ("1 \u0663:1.0\n", {}, "1: bad feature '\u0663:1.0'"),
+    ("1 0:\u0661.\u0665\n", {}, "1: bad feature '0:\u0661.\u0665'"),
+    ("1 0:0.5\n1_0 0:1.0\n", {}, "2: bad label field '1_0'"),
+    ("1 +0:1.0\n", {}, "1: bad feature '+0:1.0'"),
+], ids=["repeated-index", "index-past-dimension", "label-outside-universe", "nan", "inf",
+        "label-arabic-digit", "value-underscore", "index-arabic-digit", "value-arabic-digits",
+        "label-underscore", "index-sign"])
 def test_load_multilabel_refuses_a_sample_on_its_line(tmp_path, text, sizes, message):
     path = tmp_path / "ml.txt"
     path.write_text(text)
